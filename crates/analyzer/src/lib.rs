@@ -56,9 +56,9 @@
 //!
 //! # Pre-flight wiring
 //!
-//! [`raysim::run::run`] consults a [`raysim::run::PreflightPolicy`];
-//! [`preflight::warn_policy`] and [`preflight::deny_policy`] supply the
-//! analysis hook without a dependency cycle.
+//! [`pipeline::run_workload`] consults a [`pipeline::Preflight`];
+//! [`preflight::pipeline_warn`] and [`preflight::pipeline_deny`] supply
+//! the ray-tracer analysis hook without a dependency cycle.
 
 pub mod diag;
 pub mod hb;
@@ -79,8 +79,8 @@ pub use model::{
 };
 pub use preflight::{
     analyze_all_versions, analyze_app, analyze_run, analyze_version, analyze_version_timed,
-    deny_policy, pipeline_deny, pipeline_hook, pipeline_warn, policy_from_env, preflight_hook,
-    warn_policy, workload_deny, workload_hook, workload_warn, LayerTimings,
+    pipeline_deny, pipeline_hook, pipeline_warn, workload_deny, workload_hook, workload_warn,
+    LayerTimings,
 };
 pub use protocol::{analyze_protocol, CreditLedger, ProtocolGraph};
 pub use race::{

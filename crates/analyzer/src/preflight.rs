@@ -1,12 +1,14 @@
-//! One-call entry points and the [`raysim::run()`] pre-flight hook.
+//! One-call entry points and the pipeline's pre-flight hooks.
 //!
-//! The analyzer plugs into the simulator through the fn-pointer seam
-//! [`raysim::run::PreflightPolicy`]: [`warn_policy`] prints findings and
-//! lets the run proceed (how the paper's experiments must run — version
-//! 3's queue bug has to execute to be measured), [`deny_policy`] refuses
-//! to start a run whose analysis reports errors, and
-//! [`policy_from_env`] lets `ANALYZER_POLICY=off|warn|deny` override a
-//! harness's default without recompiling.
+//! The analyzer plugs into the measurement pipeline through the
+//! fn-pointer seam [`pipeline::Preflight`]: [`pipeline_warn`] prints
+//! findings and lets a ray-tracer run proceed (how the paper's
+//! experiments must run — version 3's queue bug has to execute to be
+//! measured), [`pipeline_deny`] refuses to start a run whose analysis
+//! reports errors, and [`workload_warn`]/[`workload_deny`] lint any
+//! workload's token map. `ANALYZER_POLICY=off|warn|deny` overrides a
+//! harness's default without recompiling (see
+//! [`pipeline::PolicyMode::from_env`]).
 //!
 //! Analysis comes in two depths: the default entry points use
 //! [`ModelBudget::preflight`] (cheap enough to run before every sweep
@@ -17,9 +19,8 @@
 
 use std::time::{Duration, Instant};
 
-use pipeline::{PipelineConfig, Preflight, Workload};
+use pipeline::{PipelineConfig, Preflight, PreflightSummary, Workload};
 use raysim::config::{AppConfig, Version};
-use raysim::run::{PreflightPolicy, PreflightSummary, RunConfig};
 
 use crate::diag::{Report, Severity};
 use crate::model::{check_app_timed, ModelBudget};
@@ -79,29 +80,32 @@ pub fn analyze_app(app: &AppConfig) -> Report {
 /// Analyzes a full run configuration: application checks plus the
 /// event-rate prediction against the configured machine and monitor,
 /// with the per-layer cost breakdown.
-pub fn analyze_run_timed(cfg: &RunConfig, budget: &ModelBudget) -> (Report, LayerTimings) {
-    let (mut report, mut timings) = analyze_app_timed(&cfg.app, budget);
+pub fn analyze_run_timed(
+    cfg: &PipelineConfig<AppConfig>,
+    budget: &ModelBudget,
+) -> (Report, LayerTimings) {
+    let (mut report, mut timings) = analyze_app_timed(&cfg.workload, budget);
     let phase = Instant::now();
-    report.merge(analyze_rate(&cfg.app, &cfg.machine, &cfg.zm4));
+    report.merge(analyze_rate(&cfg.workload, &cfg.machine, &cfg.zm4));
     timings.rate = phase.elapsed();
     (report, timings)
 }
 
 /// Analyzes a full run configuration: application checks plus the
 /// event-rate prediction against the configured machine and monitor.
-pub fn analyze_run_with(cfg: &RunConfig, budget: &ModelBudget) -> Report {
+pub fn analyze_run_with(cfg: &PipelineConfig<AppConfig>, budget: &ModelBudget) -> Report {
     analyze_run_timed(cfg, budget).0
 }
 
 /// [`analyze_run_with`] under the cheap pre-flight budget.
-pub fn analyze_run(cfg: &RunConfig) -> Report {
+pub fn analyze_run(cfg: &PipelineConfig<AppConfig>) -> Report {
     analyze_run_with(cfg, &ModelBudget::preflight())
 }
 
 /// Analyzes a stock program version under its stock run configuration,
 /// with the per-layer cost breakdown.
 pub fn analyze_version_timed(version: Version, budget: &ModelBudget) -> (Report, LayerTimings) {
-    analyze_run_timed(&RunConfig::new(AppConfig::version(version)), budget)
+    analyze_run_timed(&PipelineConfig::new(AppConfig::version(version)), budget)
 }
 
 /// Analyzes a stock program version under its stock run configuration.
@@ -137,20 +141,11 @@ fn summarize(report: &Report) -> PreflightSummary {
     }
 }
 
-/// The hook [`raysim::run::preflight`] calls: full analysis, flattened
-/// into counts plus rendered text.
-pub fn preflight_hook(cfg: &RunConfig) -> PreflightSummary {
-    summarize(&analyze_run(cfg))
-}
-
-/// The pipeline-shaped twin of [`preflight_hook`], for ray-tracer runs
-/// configured as [`PipelineConfig`]s: the full ray-tracer analysis
-/// (point maps, protocol, models, event rate) under the cheap
-/// pre-flight budget.
+/// The ray-tracer pre-flight hook: the full analysis of
+/// [`analyze_run`] (point maps, protocol, models, event rate) under the
+/// cheap pre-flight budget, flattened into counts plus rendered text.
 pub fn pipeline_hook(cfg: &PipelineConfig<AppConfig>) -> PreflightSummary {
-    let mut report = analyze_app(&cfg.workload);
-    report.merge(analyze_rate(&cfg.workload, &cfg.machine, &cfg.zm4));
-    summarize(&report)
+    summarize(&analyze_run(cfg))
 }
 
 /// A pipeline pre-flight that analyzes the ray tracer, reports, and
@@ -208,39 +203,6 @@ pub fn workload_deny<W: Workload>() -> Preflight<W> {
     Preflight::deny(workload_hook::<W>)
 }
 
-/// A policy that analyzes, reports, and runs anyway.
-pub fn warn_policy() -> PreflightPolicy {
-    PreflightPolicy::Warn(preflight_hook)
-}
-
-/// A policy that refuses to run configurations with errors.
-pub fn deny_policy() -> PreflightPolicy {
-    PreflightPolicy::Deny(preflight_hook)
-}
-
-/// Resolves the pre-flight policy from the `ANALYZER_POLICY`
-/// environment variable (`off` | `warn` | `deny`, case-insensitive),
-/// falling back to `default` when unset. An unrecognized value is
-/// reported on stderr and treated as the fallback — a sweep should not
-/// silently lose its analysis because of a typo.
-pub fn policy_from_env(default: PreflightPolicy) -> PreflightPolicy {
-    match std::env::var("ANALYZER_POLICY") {
-        Err(_) => default,
-        Ok(value) => match value.to_ascii_lowercase().as_str() {
-            "off" => PreflightPolicy::Off,
-            "warn" => warn_policy(),
-            "deny" => deny_policy(),
-            other => {
-                eprintln!(
-                    "ANALYZER_POLICY={other:?} not recognized (expected off|warn|deny); \
-                     keeping the default policy"
-                );
-                default
-            }
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,8 +229,8 @@ mod tests {
 
     #[test]
     fn hook_flattens_counts() {
-        let cfg = RunConfig::new(AppConfig::version(Version::V3));
-        let summary = preflight_hook(&cfg);
+        let cfg = PipelineConfig::new(AppConfig::version(Version::V3));
+        let summary = pipeline_hook(&cfg);
         assert!(summary.errors >= 1);
         assert!(summary.rendered.contains("AN-PROTO-002"));
         assert!(summary.rendered.contains("error["));
@@ -276,27 +238,31 @@ mod tests {
 
     #[test]
     fn warn_policy_lets_v3_run_to_the_preflight_stage() {
-        let mut cfg = RunConfig::new(AppConfig::version(Version::V3));
-        cfg.preflight = warn_policy();
-        // The analysis itself must not panic; raysim::run::preflight
-        // returns the summary under Warn even with errors present.
-        let summary = raysim::run::preflight(&cfg).expect("policy is on");
+        let mut cfg = PipelineConfig::new(AppConfig::version(Version::V3));
+        cfg.preflight = pipeline_warn();
+        // The analysis itself must not panic; the pre-flight returns the
+        // summary under Warn even with errors present.
+        let summary = pipeline::try_preflight(&cfg)
+            .expect("warn never denies")
+            .expect("policy is on");
         assert!(summary.errors >= 1);
     }
 
     #[test]
     #[should_panic(expected = "refusing to run")]
     fn deny_policy_stops_v3() {
-        let mut cfg = RunConfig::new(AppConfig::version(Version::V3));
-        cfg.preflight = deny_policy();
-        raysim::run::preflight(&cfg);
+        let mut cfg = PipelineConfig::new(AppConfig::version(Version::V3));
+        cfg.preflight = pipeline_deny();
+        pipeline::run_workload(cfg);
     }
 
     #[test]
     fn deny_policy_passes_v4() {
-        let mut cfg = RunConfig::new(AppConfig::version(Version::V4));
-        cfg.preflight = deny_policy();
-        let summary = raysim::run::preflight(&cfg).expect("policy is on");
+        let mut cfg = PipelineConfig::new(AppConfig::version(Version::V4));
+        cfg.preflight = pipeline_deny();
+        let summary = pipeline::try_preflight(&cfg)
+            .expect("V4 has no errors")
+            .expect("policy is on");
         assert_eq!(summary.errors, 0);
     }
 
@@ -307,14 +273,6 @@ mod tests {
         let denied = pipeline::try_preflight(&cfg).unwrap_err();
         assert!(denied.summary.errors >= 1);
         assert!(denied.summary.rendered.contains("AN-PROTO-002"));
-    }
-
-    #[test]
-    fn pipeline_warn_matches_legacy_hook_on_v3() {
-        let legacy = preflight_hook(&RunConfig::new(AppConfig::version(Version::V3)));
-        let piped = pipeline_hook(&PipelineConfig::new(AppConfig::version(Version::V3)));
-        assert_eq!(legacy.errors, piped.errors);
-        assert_eq!(legacy.warnings, piped.warnings);
     }
 
     #[test]
@@ -354,24 +312,5 @@ mod tests {
             "{}",
             summary.rendered
         );
-    }
-
-    #[test]
-    fn env_override_selects_policies() {
-        // Set/unset ANALYZER_POLICY around each probe. Serialized by
-        // being a single test; the variable is restored at the end.
-        let probe = |value: Option<&str>| {
-            match value {
-                Some(v) => std::env::set_var("ANALYZER_POLICY", v),
-                None => std::env::remove_var("ANALYZER_POLICY"),
-            }
-            policy_from_env(PreflightPolicy::Off)
-        };
-        assert!(matches!(probe(Some("off")), PreflightPolicy::Off));
-        assert!(matches!(probe(Some("WARN")), PreflightPolicy::Warn(_)));
-        assert!(matches!(probe(Some("deny")), PreflightPolicy::Deny(_)));
-        // Unknown values keep the fallback.
-        assert!(matches!(probe(Some("strict")), PreflightPolicy::Off));
-        assert!(matches!(probe(None), PreflightPolicy::Off));
     }
 }

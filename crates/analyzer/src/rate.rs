@@ -313,12 +313,12 @@ pub fn analyze_rate(app: &AppConfig, machine: &MachineConfig, zm4: &Zm4Config) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipeline::PipelineConfig;
     use raysim::config::Version;
-    use raysim::run::RunConfig;
 
     fn setup(version: Version) -> (AppConfig, MachineConfig, Zm4Config) {
-        let cfg = RunConfig::new(AppConfig::version(version));
-        (cfg.app, cfg.machine, cfg.zm4)
+        let cfg = PipelineConfig::new(AppConfig::version(version));
+        (cfg.workload, cfg.machine, cfg.zm4)
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use analyzer::{proven_orders, validate_orders};
 use des::time::SimTime;
+use pipeline::{run_workload, PipelineConfig};
 use raysim::config::{AppConfig, SceneKind, Version};
-use raysim::run::{run, RunConfig};
 use raysim::tokens;
 use simple::{Event, Trace};
 
@@ -21,9 +21,9 @@ fn measured_trace(version: Version) -> (Trace, AppConfig) {
     app.scene = SceneKind::Quickstart;
     app.width = 8;
     app.height = 8;
-    let mut cfg = RunConfig::new(app.clone());
+    let mut cfg = PipelineConfig::new(app.clone());
     cfg.horizon = SimTime::from_secs(3_600);
-    let result = run(cfg);
+    let result = run_workload(cfg);
     assert!(result.completed(), "fixture run must complete");
     (result.trace, app)
 }

@@ -1,14 +1,13 @@
 //! Whole-pipeline benchmarks: quick-scale versions of the paper's
 //! measurement runs, timing the complete simulate-monitor-evaluate
-//! pipeline. (Full-scale figure regeneration lives in the `bench`
-//! crate's binaries, e.g. `cargo run --release -p bench --bin
-//! fig10_versions`.)
+//! pipeline. (Full-scale figure sweeps run through the harness, e.g.
+//! `cargo run --release -p harness -- sweep fig10`.)
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use suprenum_monitor::apps::jacobi::{run_jacobi, JacobiConfig};
 use suprenum_monitor::experiments::{
     clock_sync_ablation, fig7_mailbox_gantt, mailbox_anatomy, Scale,
 };
+use suprenum_monitor::pipeline::jacobi::{run_jacobi, JacobiConfig};
 
 fn bench_pipelines(c: &mut Criterion) {
     let mut g = c.benchmark_group("experiment_pipelines");

@@ -7,10 +7,10 @@
 //! this measures what that choice bought.
 
 use suprenum_monitor::des::time::SimTime;
+use suprenum_monitor::pipeline::{run_workload, PipelineConfig};
 use suprenum_monitor::raysim::analysis::servant_utilization;
 use suprenum_monitor::raysim::config::{AppConfig, SceneKind, Version};
 use suprenum_monitor::raysim::objpart::{run_object_partitioned, ObjPartConfig};
-use suprenum_monitor::raysim::run::{run, RunConfig};
 
 fn main() {
     let horizon = SimTime::from_secs(360_000);
@@ -32,8 +32,11 @@ fn main() {
 
     // Object partitioning.
     let obj = run_object_partitioned(ObjPartConfig::new(base()), 1992, horizon);
-    obj.ensure_completed()
-        .unwrap_or_else(|e| panic!("object partitioning: {e}"));
+    assert!(
+        obj.completed(),
+        "object partitioning: run ended by {}",
+        obj.outcome.reason
+    );
     let u = servant_utilization(&obj.trace, 15);
     let ic = obj.machine.interconnect_stats();
     println!(
@@ -47,11 +50,14 @@ fn main() {
     );
 
     // Ray partitioning (version 4).
-    let mut cfg = RunConfig::new(base());
+    let mut cfg = PipelineConfig::new(base());
     cfg.horizon = horizon;
-    let ray = run(cfg);
-    ray.ensure_completed()
-        .unwrap_or_else(|e| panic!("ray partitioning: {e}"));
+    let ray = run_workload(cfg);
+    assert!(
+        ray.completed(),
+        "ray partitioning: run ended by {}",
+        ray.outcome.reason
+    );
     let u = servant_utilization(&ray.trace, 15);
     let ic = ray.machine.interconnect_stats();
     println!(

@@ -6,9 +6,9 @@
 //! assigning discontinuous subsets of rays."
 
 use suprenum_monitor::des::time::SimTime;
+use suprenum_monitor::pipeline::{run_workload, PipelineConfig};
 use suprenum_monitor::raysim::analysis::{servant_tracks, servant_utilization, work_phase};
 use suprenum_monitor::raysim::config::{AppConfig, Version};
-use suprenum_monitor::raysim::run::{run, RunConfig};
 use suprenum_monitor::raysim::static_partition::{run_static, StaticScheme};
 use suprenum_monitor::simple::Trace;
 
@@ -53,18 +53,16 @@ fn main() {
         let app = base();
         let servants = app.servants as u32;
         let r = run_static(app, scheme, 1992, horizon);
-        r.ensure_completed()
-            .unwrap_or_else(|e| panic!("{scheme}: {e}"));
+        assert!(r.completed(), "{scheme}: run ended by {}", r.outcome.reason);
         report(scheme.to_string(), &r.trace, servants, r.outcome.end);
     }
 
     let app = base();
     let servants = app.servants as u32;
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     cfg.horizon = horizon;
-    let r = run(cfg);
-    r.ensure_completed()
-        .unwrap_or_else(|e| panic!("dynamic: {e}"));
+    let r = run_workload(cfg);
+    assert!(r.completed(), "dynamic: run ended by {}", r.outcome.reason);
     report(
         "dynamic (version 4)".into(),
         &r.trace,

@@ -12,12 +12,12 @@
 
 use des::time::{SimDuration, SimTime};
 use hybridmon::MonitoringMode;
+use pipeline::{run_workload, PipelineConfig, PipelineResult};
 use raysim::analysis::{
     agent_tracks, master_track, servant_track, servant_utilization, servant_utilization_steady,
     work_phase,
 };
 use raysim::config::{AppConfig, SceneKind, Version};
-use raysim::run::{run, RunConfig, RunResult};
 use raysim::tokens;
 use simple::{check_causality, state_durations, Gantt, GanttStyle, Trace};
 use suprenum::{
@@ -28,19 +28,35 @@ use zm4::{ProbeSample, Zm4, Zm4Config};
 pub use harness::sweeps::{self, Scale};
 pub use harness::{default_workers, run_sweep, RunRecord, RunSpec, Sweep, SweepReport};
 
-fn run_app(app: AppConfig, seed: u64) -> RunResult {
-    let mut cfg = RunConfig::new(app);
+/// The experiments' run configuration: a ten-simulated-hour horizon and
+/// the analyzer's pre-flight in warn mode — never deny: the paper's
+/// measurements include configurations the analyzer rightly flags
+/// (version 3's queue constant), and the bug must execute to be
+/// measured.
+fn experiment_cfg(app: AppConfig, seed: u64) -> PipelineConfig<AppConfig> {
+    let mut cfg = PipelineConfig::new(app);
     cfg.seed = seed;
     cfg.horizon = SimTime::from_secs(36_000);
-    // Warn, never deny: the paper's measurements include configurations
-    // the analyzer rightly flags (version 3's queue constant) — the bug
-    // must execute to be measured.
-    cfg.preflight = analyzer::warn_policy();
-    let result = run(cfg);
-    if let Err(e) = result.ensure_completed() {
-        panic!("experiment run did not complete: {e}");
-    }
+    cfg.preflight = analyzer::pipeline_warn();
+    cfg
+}
+
+/// Runs `cfg` and panics unless it completed: statistics from an
+/// interrupted run must never be mistaken for a measurement.
+fn run_completed(cfg: PipelineConfig<AppConfig>) -> PipelineResult<AppConfig> {
+    let result = run_workload(cfg);
+    assert!(
+        result.completed(),
+        "experiment run did not complete: ended by {} at t={} after {} kernel events",
+        result.outcome.reason,
+        result.outcome.end,
+        result.outcome.events
+    );
     result
+}
+
+fn run_app(app: AppConfig, seed: u64) -> PipelineResult<AppConfig> {
+    run_completed(experiment_cfg(app, seed))
 }
 
 /// A measured-vs-paper utilization pair.
@@ -61,14 +77,14 @@ pub struct UtilizationResult {
     pub end: SimTime,
 }
 
-fn utilization_of(result: &RunResult, app: &AppConfig) -> UtilizationResult {
+fn utilization_of(result: &PipelineResult<AppConfig>, app: &AppConfig) -> UtilizationResult {
     let servants = app.servants as u32;
     UtilizationResult {
         version: app.version,
         measured_percent: servant_utilization(&result.trace, servants).mean_percent(),
         steady_percent: servant_utilization_steady(&result.trace, servants).mean_percent(),
         paper_percent: app.version.paper_utilization_percent(),
-        jobs: result.app_stats.jobs_sent,
+        jobs: result.output.stats.jobs_sent,
         end: result.outcome.end,
     }
 }
@@ -299,7 +315,7 @@ pub fn fig9_agents(seed: u64, scale: Scale) -> Fig9Result {
 
     Fig9Result {
         utilization: utilization_of(&result, &app),
-        agent_pool_size: result.app_stats.master_pool_peak,
+        agent_pool_size: result.output.stats.master_pool_peak,
         mean_freed_us: freed.mean() * 1e6,
         mean_forward_ms: forward.mean() * 1e3,
         gantt_text: gantt.render_text(),
@@ -343,13 +359,9 @@ pub fn intrusion_comparison(seed: u64) -> Vec<IntrusionRow> {
             app.bundle_size = 8;
             app.pixel_queue_capacity = 256;
             app.write_chunk = 16;
-            let mut cfg = RunConfig::new(app);
-            cfg.seed = seed;
-            cfg.preflight = analyzer::warn_policy();
+            let mut cfg = experiment_cfg(app, seed);
             cfg.machine.monitoring = mode;
-            cfg.horizon = SimTime::from_secs(36_000);
-            let result = run(cfg);
-            assert!(result.completed());
+            let result = run_completed(cfg);
             IntrusionRow {
                 mode,
                 events: result.intrusion.events,
@@ -455,13 +467,9 @@ pub fn clock_sync_ablation(seed: u64) -> (ClockSyncRow, ClockSyncRow) {
     app.bundle_size = 8;
     app.pixel_queue_capacity = 128;
     app.write_chunk = 12;
-    let mut cfg = RunConfig::new(app.clone());
-    cfg.seed = seed;
-    cfg.preflight = analyzer::warn_policy();
+    let mut cfg = experiment_cfg(app, seed);
     cfg.zm4.streams_per_recorder = 1;
-    cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
-    assert!(result.completed());
+    let result = run_completed(cfg);
 
     let samples: Vec<ProbeSample> = result
         .machine
@@ -544,13 +552,9 @@ pub fn os_instrumentation(seed: u64) -> OsInstrumentationResult {
     app.width = 16;
     app.height = 16;
     app.pixel_queue_capacity = 64;
-    let mut cfg = RunConfig::new(app.clone());
-    cfg.seed = seed;
-    cfg.preflight = analyzer::warn_policy();
+    let mut cfg = experiment_cfg(app.clone(), seed);
     cfg.machine.kernel_instrumentation = true;
-    cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
-    assert!(result.completed());
+    let result = run_completed(cfg);
     assert_eq!(
         result
             .measurement

@@ -39,5 +39,4 @@ pub use simple;
 pub use suprenum;
 pub use zm4;
 
-pub mod apps;
 pub mod experiments;

@@ -256,10 +256,10 @@ pub struct ArtifactRun {
     /// Engine wall time, milliseconds.
     pub wall_ms: f64,
     /// Pre-flight finding counts (errors, warnings, infos). Additive
-    /// schema-4 fields — zero when the artifact predates them — used
-    /// to flag analysis drift between artifacts of the same
-    /// configuration.
-    pub analysis_counts: (u64, u64, u64),
+    /// schema-4 fields — `None` (unknown, not zero) when the artifact
+    /// predates them — used to flag analysis drift between artifacts
+    /// of the same configuration.
+    pub analysis_counts: Option<(u64, u64, u64)>,
     /// Kernel scheduling policy the run executed under. Additive
     /// schema-4 field — artifacts written before it exist all ran
     /// round-robin, so absence reads back as `"rr"`.
@@ -271,7 +271,12 @@ pub struct ArtifactRun {
 /// The artifact writer emits exactly one field per line and every run
 /// object opens with its `label` field, so a line-oriented scan
 /// suffices — no general JSON parser is vendored for this.
-pub fn parse_artifact_runs(json_text: &str) -> Vec<ArtifactRun> {
+///
+/// # Errors
+///
+/// Names the run label and the field when a numeric field does not
+/// parse — a corrupted artifact must not read back as zero throughput.
+pub fn parse_artifact_runs(json_text: &str) -> Result<Vec<ArtifactRun>, String> {
     fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
         let rest = line.trim_start().strip_prefix(&format!("\"{key}\": "))?;
         Some(rest.trim_end_matches(','))
@@ -279,8 +284,16 @@ pub fn parse_artifact_runs(json_text: &str) -> Vec<ArtifactRun> {
     fn str_value(raw: &str) -> String {
         raw.trim_matches('"').to_owned()
     }
+    fn number<T: std::str::FromStr>(label: &str, key: &str, raw: &str) -> Result<T, String> {
+        raw.parse()
+            .map_err(|_| format!("run '{label}': field '{key}' is not a number: {raw}"))
+    }
+    const COUNT_KEYS: [&str; 3] = ["analysis_errors", "analysis_warnings", "analysis_infos"];
 
     let mut runs: Vec<ArtifactRun> = Vec::new();
+    // Per run, the finding counts seen so far; a run carries counts
+    // only if all three fields are present.
+    let mut counts: Vec<[Option<u64>; 3]> = Vec::new();
     for line in json_text.lines() {
         if let Some(raw) = field(line, "label") {
             runs.push(ArtifactRun {
@@ -288,28 +301,34 @@ pub fn parse_artifact_runs(json_text: &str) -> Vec<ArtifactRun> {
                 trace_digest: String::new(),
                 events_per_sec: 0.0,
                 wall_ms: 0.0,
-                analysis_counts: (0, 0, 0),
+                analysis_counts: None,
                 scheduler: "rr".to_owned(),
             });
-        } else if let Some(run) = runs.last_mut() {
+            counts.push([None; 3]);
+        } else if let (Some(run), Some(seen)) = (runs.last_mut(), counts.last_mut()) {
             if let Some(raw) = field(line, "trace_digest") {
                 run.trace_digest = str_value(raw);
             } else if let Some(raw) = field(line, "events_per_sec") {
-                run.events_per_sec = raw.parse().unwrap_or(0.0);
+                run.events_per_sec = number(&run.label, "events_per_sec", raw)?;
             } else if let Some(raw) = field(line, "wall_ms") {
-                run.wall_ms = raw.parse().unwrap_or(0.0);
-            } else if let Some(raw) = field(line, "analysis_errors") {
-                run.analysis_counts.0 = raw.parse().unwrap_or(0);
-            } else if let Some(raw) = field(line, "analysis_warnings") {
-                run.analysis_counts.1 = raw.parse().unwrap_or(0);
-            } else if let Some(raw) = field(line, "analysis_infos") {
-                run.analysis_counts.2 = raw.parse().unwrap_or(0);
+                run.wall_ms = number(&run.label, "wall_ms", raw)?;
             } else if let Some(raw) = field(line, "scheduler") {
                 run.scheduler = str_value(raw);
+            } else {
+                for (slot, key) in seen.iter_mut().zip(COUNT_KEYS) {
+                    if let Some(raw) = field(line, key) {
+                        *slot = Some(number(&run.label, key, raw)?);
+                    }
+                }
             }
         }
     }
-    runs
+    for (run, seen) in runs.iter_mut().zip(counts) {
+        if let [Some(e), Some(w), Some(i)] = seen {
+            run.analysis_counts = Some((e, w, i));
+        }
+    }
+    Ok(runs)
 }
 
 /// Compares two artifacts run by run: digests must match (same
@@ -321,8 +340,8 @@ pub fn parse_artifact_runs(json_text: &str) -> Vec<ArtifactRun> {
 ///
 /// # Errors
 ///
-/// One message per problem: schema mismatch, run present in only one
-/// artifact, or digest divergence.
+/// One message per problem: schema mismatch, a malformed numeric
+/// field, run present in only one artifact, or digest divergence.
 pub fn compare_artifacts(baseline: &str, candidate: &str) -> Result<String, Vec<String>> {
     let mut errors = Vec::new();
     if let Err(e) = check_artifact_schema(baseline, "baseline") {
@@ -335,8 +354,19 @@ pub fn compare_artifacts(baseline: &str, candidate: &str) -> Result<String, Vec<
         return Err(errors);
     }
 
-    let base_runs = parse_artifact_runs(baseline);
-    let cand_runs = parse_artifact_runs(candidate);
+    let (base_runs, cand_runs) = match (
+        parse_artifact_runs(baseline),
+        parse_artifact_runs(candidate),
+    ) {
+        (Ok(b), Ok(c)) => (b, c),
+        (b, c) => {
+            let errors = [("baseline", b.err()), ("candidate", c.err())]
+                .into_iter()
+                .filter_map(|(what, e)| Some(format!("{what}: {}", e?)))
+                .collect();
+            return Err(errors);
+        }
+    };
     let mut rows = String::new();
     use std::fmt::Write as _;
     let _ = writeln!(
@@ -382,14 +412,19 @@ pub fn compare_artifacts(baseline: &str, candidate: &str) -> Result<String, Vec<
             ));
             continue;
         }
-        if b.analysis_counts != c.analysis_counts {
-            let fmt = |(e, w, i): (u64, u64, u64)| format!("{e} error(s)/{w} warning(s)/{i} info");
-            analysis_drift.push(format!(
-                "run '{}': analysis findings drifted, {} -> {}",
-                b.label,
-                fmt(b.analysis_counts),
-                fmt(c.analysis_counts)
-            ));
+        // Counts an artifact does not carry are unknown, not zero:
+        // drift is reported only when both sides recorded them.
+        if let (Some(bc), Some(cc)) = (b.analysis_counts, c.analysis_counts) {
+            if bc != cc {
+                let fmt =
+                    |(e, w, i): (u64, u64, u64)| format!("{e} error(s)/{w} warning(s)/{i} info");
+                analysis_drift.push(format!(
+                    "run '{}': analysis findings drifted, {} -> {}",
+                    b.label,
+                    fmt(bc),
+                    fmt(cc)
+                ));
+            }
         }
         let speedup = if b.events_per_sec > 0.0 {
             c.events_per_sec / b.events_per_sec
@@ -687,14 +722,23 @@ impl SweepReport {
         );
         let _ = writeln!(
             out,
-            "{:<14} {:>9} {:>9} {:>12} {:>10} {:>8} {:>7} {:>7}  {:<16}",
-            "run", "workload", "end", "sim end", "events", "work", "util%", "steady%", "digest"
+            "{:<14} {:>9} {:>9} {:>12} {:>10} {:>8} {:>7} {:>7} {:>7}  {:<16}",
+            "run",
+            "workload",
+            "end",
+            "sim end",
+            "events",
+            "work",
+            "util%",
+            "steady%",
+            "paper%",
+            "digest"
         );
         for r in &self.records {
             let fmt_pct = |v: Option<f64>| v.map_or_else(|| "-".to_owned(), |p| format!("{p:.1}"));
             let _ = writeln!(
                 out,
-                "{:<14} {:>9} {:>9} {:>11.3}s {:>10} {:>8} {:>7} {:>7}  {:<16}",
+                "{:<14} {:>9} {:>9} {:>11.3}s {:>10} {:>8} {:>7} {:>7} {:>7}  {:<16}",
                 r.label,
                 r.workload,
                 r.run_end.to_string(),
@@ -703,6 +747,7 @@ impl SweepReport {
                 r.work_units,
                 fmt_pct(r.utilization_percent),
                 fmt_pct(r.steady_percent),
+                fmt_pct(r.paper_percent),
                 r.trace_digest,
             );
         }
@@ -1058,7 +1103,7 @@ mod tests {
             1,
         );
         let json = report.to_json();
-        let runs = parse_artifact_runs(&json);
+        let runs = parse_artifact_runs(&json).unwrap();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].label, "a");
         assert_eq!(runs[0].trace_digest, report.records[0].trace_digest);
@@ -1100,6 +1145,70 @@ mod tests {
         assert!(aggregate.contains("2667"), "{aggregate}");
         assert!(aggregate.contains("1.41x"), "{aggregate}");
         assert!(aggregate.contains("geometric mean"), "{aggregate}");
+    }
+
+    #[test]
+    fn summary_table_shows_the_paper_column() {
+        let mut ladder = tiny_spec("paper", 1, 600_000);
+        ladder.paper_percent = Some(15.0);
+        let sweep = Sweep {
+            name: "tbl".into(),
+            runs: vec![ladder, tiny_spec("none", 2, 600_000)],
+        };
+        let table = run_sweep(&sweep, 1).render_table();
+        // Columns: run workload end sim-end events work util% steady% paper% digest.
+        let column = |row: usize| table.lines().nth(row).unwrap().split_whitespace().nth(8);
+        assert!(table.lines().nth(1).unwrap().contains("paper%"), "{table}");
+        assert_eq!(column(2), Some("15.0"), "{table}");
+        assert_eq!(column(3), Some("-"), "{table}");
+    }
+
+    #[test]
+    fn absent_analysis_counts_read_as_unknown_not_zero() {
+        let sweep = Sweep {
+            name: "cnt".into(),
+            runs: vec![tiny_spec("a", 1, 600_000)],
+        };
+        let current = run_sweep(&sweep, 1).to_json();
+        // An artifact written before the finding counts existed.
+        let legacy: String = current
+            .lines()
+            .filter(|l| {
+                !["errors", "warnings", "infos"]
+                    .iter()
+                    .any(|k| l.contains(&format!("\"analysis_{k}\"")))
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert_eq!(
+            parse_artifact_runs(&legacy).unwrap()[0].analysis_counts,
+            None
+        );
+        let table = compare_artifacts(&legacy, &current).unwrap();
+        assert!(!table.contains("drifted"), "{table}");
+        // Counts present on both sides still report real drift.
+        let drifted = current.replace("\"analysis_infos\": 0", "\"analysis_infos\": 3");
+        let table = compare_artifacts(&current, &drifted).unwrap();
+        assert!(table.contains("drifted"), "{table}");
+    }
+
+    #[test]
+    fn malformed_numbers_fail_loudly_with_label_and_field() {
+        let sweep = Sweep {
+            name: "bad".into(),
+            runs: vec![tiny_spec("a", 1, 600_000)],
+        };
+        let current = run_sweep(&sweep, 1).to_json();
+        let wall = current
+            .lines()
+            .find(|l| l.trim_start().starts_with("\"wall_ms\": "))
+            .unwrap();
+        let corrupted = current.replacen(wall, "      \"wall_ms\": 12.x5,", 1);
+        let err = parse_artifact_runs(&corrupted).unwrap_err();
+        assert!(err.contains("run 'a'") && err.contains("wall_ms"), "{err}");
+        let errs = compare_artifacts(&current, &corrupted).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].starts_with("candidate: run 'a'"), "{errs:?}");
     }
 
     #[test]
@@ -1190,7 +1299,7 @@ mod tests {
             .filter(|l| !l.contains("\"scheduler\""))
             .collect::<Vec<_>>()
             .join("\n");
-        assert_eq!(parse_artifact_runs(&legacy)[0].scheduler, "rr");
+        assert_eq!(parse_artifact_runs(&legacy).unwrap()[0].scheduler, "rr");
         assert!(compare_artifacts(&legacy, &baseline.to_json()).is_ok());
     }
 

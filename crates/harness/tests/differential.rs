@@ -1,9 +1,10 @@
 //! Differential gate for the workload-pipeline refactor: sweeps now
-//! execute through type-erased `pipeline::Job`s instead of calling
-//! `raysim::run` directly, and the committed golden digests were
-//! recorded *before* that refactor — so matching them proves the
-//! generic pipeline reproduces the legacy path bit for bit (every
-//! trace event, the end time, the end reason, and the event count).
+//! execute through type-erased `pipeline::Job`s instead of calling the
+//! ray tracer's former dedicated runner, and the committed golden
+//! digests were recorded *before* that refactor — so matching them
+//! proves the generic pipeline reproduces the legacy path bit for bit
+//! (every trace event, the end time, the end reason, and the event
+//! count).
 
 use std::collections::HashMap;
 

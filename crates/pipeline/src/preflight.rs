@@ -180,3 +180,33 @@ pub fn try_preflight<W: Workload>(
     }
     Ok(Some(summary))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn env_override_selects_policies() {
+        // The only test in this binary touching ANALYZER_POLICY, so the
+        // probes are serialized; the variable is left unset at the end.
+        let table: [(Option<&str>, Option<PolicyMode>); 5] = [
+            (Some("off"), Some(PolicyMode::Off)),
+            (Some("WARN"), Some(PolicyMode::Warn)),
+            (Some("deny"), Some(PolicyMode::Deny)),
+            // Unrecognized values read as unset, keeping the default.
+            (Some("strict"), None),
+            (None, None),
+        ];
+        for (value, expected) in table {
+            match value {
+                Some(v) => std::env::set_var("ANALYZER_POLICY", v),
+                None => std::env::remove_var("ANALYZER_POLICY"),
+            }
+            assert_eq!(
+                PolicyMode::from_env(),
+                expected,
+                "ANALYZER_POLICY={value:?}"
+            );
+        }
+    }
+}

@@ -11,8 +11,9 @@
 //!   communication agents ([`agent`]) in one (V2) then both (V3)
 //!   directions with ray bundling, and the pixel-queue fix (V4);
 //! * the **instrumentation points** of Figure 6 ([`tokens`]);
-//! * the **experiment runner** ([`run::run`]) wiring the application into the
-//!   simulated machine and the simulated ZM4;
+//! * the **workload** ([`workload`]) that plugs the application into the
+//!   generic measurement pipeline ([`pipeline::run_workload`]): the
+//!   simulated machine, the simulated ZM4 and the SIMPLE trace;
 //! * the **evaluation** ([`analysis`]) that regenerates the paper's
 //!   Gantt tracks and utilization numbers.
 //!
@@ -21,16 +22,16 @@
 //! Measure servant utilization of version 2 on a small image:
 //!
 //! ```
+//! use pipeline::{run_workload, PipelineConfig};
 //! use raysim::analysis::servant_utilization;
 //! use raysim::config::{AppConfig, SceneKind, Version};
-//! use raysim::run::{run, RunConfig};
 //!
 //! let mut app = AppConfig::version(Version::V2);
 //! app.servants = 2;
 //! app.scene = SceneKind::Quickstart;
 //! app.width = 8;
 //! app.height = 8;
-//! let result = run(RunConfig::new(app));
+//! let result = run_workload(PipelineConfig::new(app));
 //! assert!(result.completed());
 //! let report = servant_utilization(&result.trace, 2);
 //! assert!(report.mean > 0.0 && report.mean <= 1.0);
@@ -45,7 +46,6 @@ pub mod master;
 pub mod objpart;
 pub mod pixels;
 pub mod protocol;
-pub mod run;
 pub mod servant;
 pub mod static_partition;
 pub mod tokens;
@@ -53,5 +53,4 @@ pub mod workload;
 
 pub use config::{AppConfig, SceneKind, Version};
 pub use context::{AppStats, RenderContext};
-pub use run::{run, RunConfig, RunResult, TruncatedRun};
 pub use workload::RenderOutput;

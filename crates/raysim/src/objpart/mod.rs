@@ -83,26 +83,6 @@ impl ObjRunResult {
     pub fn completed(&self) -> bool {
         self.outcome.reason == suprenum::RunEnd::Completed
     }
-
-    /// Errors with a [`crate::run::TruncatedRun`] report if the run did
-    /// not complete — the same loud-failure contract as
-    /// [`crate::run::RunResult::ensure_completed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::run::TruncatedRun`] when the outcome is anything
-    /// but [`suprenum::RunEnd::Completed`].
-    pub fn ensure_completed(&self) -> Result<(), crate::run::TruncatedRun> {
-        if self.completed() {
-            Ok(())
-        } else {
-            Err(crate::run::TruncatedRun {
-                reason: self.outcome.reason,
-                end: self.outcome.end,
-                events: self.outcome.events,
-            })
-        }
-    }
 }
 
 /// Runs the object-partitioned renderer on the simulated machine.
@@ -114,17 +94,7 @@ pub fn run_object_partitioned(cfg: ObjPartConfig, seed: u64, horizon: SimTime) -
     cfg.app
         .validate()
         .expect("invalid application configuration");
-    let nodes = cfg.app.servants as u32 + 1;
-    let machine_cfg = if nodes <= 16 {
-        suprenum::MachineConfig::single_cluster(nodes as u8)
-    } else {
-        let clusters = nodes.div_ceil(16) as u8;
-        suprenum::MachineConfig {
-            clusters,
-            torus_cols: 1,
-            ..suprenum::MachineConfig::single_cluster(16)
-        }
-    };
+    let machine_cfg = pipeline::machine_for(u32::from(cfg.app.servants) + 1);
     let mut machine = suprenum::Machine::new(machine_cfg, seed).expect("valid machine");
 
     let cfg = Arc::new(cfg);
@@ -141,10 +111,10 @@ pub fn run_object_partitioned(cfg: ObjPartConfig, seed: u64, horizon: SimTime) -
     machine.add_process(NodeId::new(0), master);
     let outcome = machine.run(horizon);
 
-    let samples = crate::run::probe_samples(&machine);
+    let samples = pipeline::probe_samples(&machine);
     let channels = machine.topology().total_nodes() as usize;
     let measurement = zm4::Zm4::new(zm4::Zm4Config::default(), channels, seed).observe(&samples);
-    let trace = crate::run::to_simple_trace(&measurement);
+    let trace = pipeline::to_simple_trace(&measurement);
 
     let image = fb.unwrap_or_clone();
     let rounds = *rounds.borrow();

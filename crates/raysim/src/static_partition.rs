@@ -303,7 +303,7 @@ pub fn run_static(
     scheme: StaticScheme,
     seed: u64,
     horizon: des::time::SimTime,
-) -> crate::run::RunResult {
+) -> pipeline::PipelineResult<AppConfig> {
     app.version = crate::config::Version::V1;
     app.validate().expect("invalid application configuration");
     let machine_cfg = suprenum::MachineConfig::single_cluster((app.servants + 1) as u8);
@@ -317,20 +317,23 @@ pub fn run_static(
     machine.add_process(NodeId::new(0), master);
     let outcome = machine.run(horizon);
 
-    let samples = crate::run::probe_samples(&machine);
+    let samples = pipeline::probe_samples(&machine);
     let channels = machine.topology().total_nodes() as usize;
     let measurement = zm4::Zm4::new(zm4::Zm4Config::default(), channels, seed).observe(&samples);
-    let trace = crate::run::to_simple_trace(&measurement);
+    let trace = pipeline::to_simple_trace(&measurement);
 
-    let image = fb.unwrap_or_clone();
-    let app_stats = *stats.borrow();
+    let output = crate::workload::RenderOutput {
+        image: fb.unwrap_or_clone(),
+        stats: *stats.borrow(),
+    };
     let intrusion = *machine.intrusion();
-    crate::run::RunResult {
+    pipeline::PipelineResult {
+        analysis: std::time::Duration::ZERO,
+        preflight: None,
         outcome,
         measurement,
         trace,
-        image,
-        app_stats,
+        output,
         machine,
         intrusion,
     }

@@ -158,6 +158,19 @@ mod tests {
         assert!(metrics.utilization_percent.is_some());
     }
 
+    // A truncated run leaves the master alive holding its framebuffer
+    // handle; the harvest must still hand the image back (by take, not
+    // by clone) without panicking.
+    #[test]
+    fn truncated_run_still_yields_the_image() {
+        let mut cfg = PipelineConfig::new(tiny_app(Version::V4));
+        cfg.horizon = des::time::SimTime::from_millis(1);
+        let result = run_workload(cfg);
+        assert!(result.truncated());
+        // 8×8 was allocated; the take preserves the real buffer.
+        assert_eq!(result.output.image.pixel_count(), 64);
+    }
+
     #[test]
     fn declared_orders_follow_instrumentation() {
         assert_eq!(proven_orders(&tiny_app(Version::V1)).len(), 2);

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example jacobi_spmd`
 
-use suprenum_monitor::apps::jacobi::{run_jacobi, worker_activity_model, JacobiConfig};
+use suprenum_monitor::pipeline::jacobi::{run_jacobi, worker_activity_model, JacobiConfig};
 use suprenum_monitor::simple::Gantt;
 
 fn main() {

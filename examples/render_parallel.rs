@@ -10,11 +10,11 @@
 use std::fs;
 
 use suprenum_monitor::des::time::SimTime;
+use suprenum_monitor::pipeline::{run_workload, PipelineConfig};
 use suprenum_monitor::raysim::analysis::{
     master_track, servant_track, servant_tracks, servant_utilization, work_phase,
 };
 use suprenum_monitor::raysim::config::{AppConfig, SceneKind, Version};
-use suprenum_monitor::raysim::run::{run, RunConfig};
 use suprenum_monitor::simple::Gantt;
 use suprenum_monitor::simple::StateTimeline;
 
@@ -42,19 +42,19 @@ fn main() {
     app.write_chunk = 64;
     let servants = app.servants as u32;
 
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     cfg.horizon = SimTime::from_secs(36_000);
     println!(
         "rendering {0}x{0} on 16 simulated processors (version 4)...",
         96
     );
-    let result = run(cfg);
+    let result = run_workload(cfg);
     assert!(result.completed(), "run failed: {:?}", result.outcome);
 
     println!(
         "done at simulated t={} — {} jobs, {} trace events, {} lost",
         result.outcome.end,
-        result.app_stats.jobs_sent,
+        result.output.stats.jobs_sent,
         result.trace.len(),
         result.measurement.total_lost(),
     );
@@ -62,10 +62,10 @@ fn main() {
     let report = servant_utilization(&result.trace, servants);
     println!("{report}");
 
-    fs::write("render_parallel.ppm", result.image.to_ppm()).expect("write image");
+    fs::write("render_parallel.ppm", result.output.image.to_ppm()).expect("write image");
     println!(
         "wrote render_parallel.ppm (mean luminance {:.3})",
-        result.image.mean_luminance()
+        result.output.image.mean_luminance()
     );
 
     // A Gantt chart of a steady-state window: master plus 3 servants.

@@ -3,16 +3,16 @@
 //! the monitor's view validated against the simulator's ground truth.
 
 use suprenum_monitor::des::time::SimTime;
+use suprenum_monitor::pipeline::{run_workload, PipelineConfig, PipelineResult};
 use suprenum_monitor::raysim::analysis::{
     causality_rules, servant_track, servant_utilization, work_phase,
 };
 use suprenum_monitor::raysim::config::{AppConfig, SceneKind, Version};
-use suprenum_monitor::raysim::run::{run, RunConfig};
 use suprenum_monitor::raysim::tokens;
 use suprenum_monitor::simple::check_causality;
 use suprenum_monitor::suprenum::ProcState;
 
-fn small_run(version: Version, seed: u64) -> suprenum_monitor::raysim::run::RunResult {
+fn small_run(version: Version, seed: u64) -> PipelineResult<AppConfig> {
     let mut app = AppConfig::version(version);
     app.servants = 4;
     app.scene = SceneKind::Quickstart;
@@ -21,10 +21,10 @@ fn small_run(version: Version, seed: u64) -> suprenum_monitor::raysim::run::RunR
     app.bundle_size = app.bundle_size.min(4);
     app.pixel_queue_capacity = 64;
     app.write_chunk = 4;
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     cfg.seed = seed;
     cfg.horizon = SimTime::from_secs(36_000);
-    run(cfg)
+    run_workload(cfg)
 }
 
 #[test]
@@ -32,17 +32,17 @@ fn run_completes_and_renders_the_image() {
     let result = small_run(Version::V2, 9);
     assert!(result.completed());
     // All 256 pixels written with actual scene content.
-    assert_eq!(result.image.pixel_count(), 256);
+    assert_eq!(result.output.image.pixel_count(), 256);
     assert!(
-        result.image.mean_luminance() > 0.05,
+        result.output.image.mean_luminance() > 0.05,
         "image is black — pixels lost"
     );
     // Every job produced a result.
     assert_eq!(
-        result.app_stats.jobs_sent,
-        result.app_stats.results_received
+        result.output.stats.jobs_sent,
+        result.output.stats.results_received
     );
-    assert!(result.app_stats.disk_writes > 0);
+    assert!(result.output.stats.disk_writes > 0);
 }
 
 #[test]
@@ -58,7 +58,7 @@ fn parallel_render_matches_sequential_render() {
     for y in 0..16 {
         for x in 0..16 {
             let (expected, _) = tracer.render_pixel(&camera, x, y, 16, 16, 1);
-            let got = result.image.get(x, y);
+            let got = result.output.image.get(x, y);
             assert_eq!(
                 got.to_rgb8(),
                 expected.to_rgb8(),
@@ -139,7 +139,7 @@ fn runs_are_bit_deterministic() {
     for (x, y) in a.trace.events().iter().zip(b.trace.events()) {
         assert_eq!(x, y);
     }
-    assert_eq!(a.image, b.image);
+    assert_eq!(a.output.image, b.output.image);
 
     // A different seed still completes but yields a different timeline
     // when stochastic elements exist; with none, the timeline may match —
@@ -174,9 +174,9 @@ fn window_flow_control_is_respected() {
     app.width = 8;
     app.height = 8;
     app.pixel_queue_capacity = 64;
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
+    let result = run_workload(cfg);
     assert!(result.completed());
 
     // Outstanding jobs overall never exceed servants x window.
@@ -207,16 +207,16 @@ fn ray_tracer_spans_clusters_over_the_torus() {
     app.bundle_size = 4;
     app.pixel_queue_capacity = 256;
     app.write_chunk = 8;
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     cfg.machine = suprenum_monitor::suprenum::MachineConfig {
         clusters: 2,
         torus_cols: 1,
         ..suprenum_monitor::suprenum::MachineConfig::single_cluster(16)
     };
     cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
+    let result = run_workload(cfg);
     assert!(result.completed());
-    assert!(result.image.mean_luminance() > 0.05);
+    assert!(result.output.image.mean_luminance() > 0.05);
     // Inter-cluster messages actually flowed.
     let ic = result.machine.interconnect_stats();
     assert!(
@@ -292,9 +292,9 @@ fn oversampling_is_organized_by_the_master() {
     app.bundle_size = 8;
     app.pixel_queue_capacity = 144;
     app.write_chunk = 16;
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
+    let result = run_workload(cfg);
     assert!(result.completed());
 
     let (scene, camera) = suprenum_monitor::raytracer::scenes::quickstart_scene();
@@ -307,7 +307,7 @@ fn oversampling_is_organized_by_the_master() {
         for x in 0..12 {
             let (expected, _) = tracer.render_pixel(&camera, x, y, 12, 12, 2);
             assert_eq!(
-                result.image.get(x, y).to_rgb8(),
+                result.output.image.get(x, y).to_rgb8(),
                 expected.to_rgb8(),
                 "pixel ({x},{y}) differs from sequential 2x2 oversampling"
             );
@@ -344,9 +344,9 @@ fn servants_render_from_a_scene_description_file() {
     app.width = 10;
     app.height = 10;
     app.pixel_queue_capacity = 100;
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
+    let result = run_workload(cfg);
     assert!(result.completed());
 
     // Compare against rendering the parsed description sequentially.
@@ -358,7 +358,7 @@ fn servants_render_from_a_scene_description_file() {
     for y in 0..10 {
         for x in 0..10 {
             let (expected, _) = tracer.render_pixel(&desc.camera, x, y, 10, 10, 1);
-            assert_eq!(result.image.get(x, y).to_rgb8(), expected.to_rgb8());
+            assert_eq!(result.output.image.get(x, y).to_rgb8(), expected.to_rgb8());
         }
     }
 }
@@ -375,15 +375,15 @@ fn partial_bundles_cover_ragged_images() {
     app.bundle_size = 16;
     app.pixel_queue_capacity = 225;
     app.write_chunk = 16;
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
+    let result = run_workload(cfg);
     assert!(result.completed());
     assert_eq!(
-        result.app_stats.jobs_sent,
+        result.output.stats.jobs_sent,
         225f64.div_euclid(16.0) as u64 + 1
     );
-    assert!(result.image.mean_luminance() > 0.05);
+    assert!(result.output.image.mean_luminance() > 0.05);
 }
 
 #[test]
@@ -397,10 +397,13 @@ fn write_chunk_larger_than_image_still_flushes() {
     app.height = 8;
     app.pixel_queue_capacity = 64;
     app.write_chunk = 10_000;
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     cfg.horizon = SimTime::from_secs(36_000);
-    let result = run(cfg);
+    let result = run_workload(cfg);
     assert!(result.completed());
-    assert_eq!(result.app_stats.disk_writes, 1, "one final flush expected");
-    assert!(result.image.mean_luminance() > 0.05);
+    assert_eq!(
+        result.output.stats.disk_writes, 1,
+        "one final flush expected"
+    );
+    assert!(result.output.image.mean_luminance() > 0.05);
 }

@@ -307,9 +307,9 @@ fn analysis_survives_fifo_event_loss() {
     // load. The evaluation pipeline must degrade gracefully — derived
     // activities and utilization still compute, and the causality check
     // reports the instrumentation gaps instead of panicking.
+    use suprenum_monitor::pipeline::{run_workload, PipelineConfig};
     use suprenum_monitor::raysim::analysis::{causality_rules, servant_utilization};
     use suprenum_monitor::raysim::config::{AppConfig, SceneKind, Version};
-    use suprenum_monitor::raysim::run::{run, RunConfig};
     use suprenum_monitor::simple::check_causality;
 
     let mut app = AppConfig::version(Version::V2);
@@ -318,12 +318,12 @@ fn analysis_survives_fifo_event_loss() {
     app.width = 16;
     app.height = 16;
     app.pixel_queue_capacity = 64;
-    let mut cfg = RunConfig::new(app);
+    let mut cfg = PipelineConfig::new(app);
     cfg.horizon = SimTime::from_secs(36_000);
     // Starve the recorder: tiny FIFO, glacial drain.
     cfg.zm4.fifo_capacity = 8;
     cfg.zm4.disk_drain_rate = 200;
-    let result = run(cfg);
+    let result = run_workload(cfg);
     assert!(
         result.completed(),
         "the *application* is unaffected by monitor loss"
