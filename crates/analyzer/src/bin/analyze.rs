@@ -12,8 +12,9 @@
 //!   --json PATH        write all reports as JSON ("-" for stdout)
 //!   --sarif PATH       write all reports as SARIF 2.1.0 ("-" for
 //!                      stdout)
-//!   --preemptive       also model-check the preemptive-scheduler
-//!                      variant and print its counterexample
+//!   --preemptive       also explore the preemptive-scheduler variant
+//!                      and print its effective-synchrony
+//!                      counterexample (the AN-RACE-004 witness)
 //!   --races            run the DPOR message-race explorer and append
 //!                      a race report per version (uses the scheduler
 //!                      selected by --preemptive; round-robin by
@@ -39,7 +40,7 @@
 use std::process::ExitCode;
 
 use analyzer::{
-    check_preemptive_variant, reports_json_with_timings, sarif, ModelBudget, Report, Severity,
+    reports_json_with_timings, sarif, version_verdict, ModelBudget, Report, Severity,
     SubjectTimings,
 };
 use raysim::config::{AppConfig, Version};
@@ -149,17 +150,25 @@ fn main() -> ExitCode {
     if preemptive {
         for &version in &versions {
             let app = AppConfig::version(version);
-            let verdict = check_preemptive_variant(&app, &budget);
+            let verdict = version_verdict(&app, &budget, true);
             println!("== {version}, preemptive scheduler variant ==");
-            match verdict.sync2_violation.or(verdict.sync1_violation) {
-                Some(path) => {
+            match verdict.sync_violation() {
+                Some(w) => {
                     println!(
                         "effective synchrony BREAKS under preemption; counterexample \
                          interleaving:"
                     );
-                    for (i, step) in path.iter().enumerate() {
+                    for (i, step) in w.steps.iter().enumerate() {
                         println!("  {:>3}. {step}", i + 1);
                     }
+                    println!(
+                        "  the final accept violates {}",
+                        if w.code == analyzer::race::SYNC1 {
+                            "SYNC-1: its sender is not blocked in the send"
+                        } else {
+                            "SYNC-2 (AN-RACE-004): a user process on its node is mid-compute"
+                        }
+                    );
                 }
                 None => println!(
                     "no violation found ({} states explored{})",

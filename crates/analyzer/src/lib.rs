@@ -21,16 +21,19 @@
 //! * [`model`] — the bounded protocol model checker: deadlock
 //!   reachability with counterexample paths, the V3 window collapse as
 //!   a reachability verdict, credit conservation over *all* reachable
-//!   states, and the effective-synchrony theorem with a counterexample
-//!   under a preemptive-scheduler toggle (`AN-MODEL-*`).
+//!   states, and the effective-synchrony theorem read off the race
+//!   explorer's round-robin verdict (`AN-MODEL-*`).
 //! * [`hb`] — the vector-clock happens-before engine over recorded
 //!   traces, cross-validated against the model checker's proven
 //!   orderings (`AN-HB-*`).
-//! * [`race`] — the DPOR message-race explorer (sleep sets over a
-//!   persistent-set reduction): mailbox receive-races, lost wakeups,
-//!   lost signals and nondeterministic monitoring interleavings, each
-//!   with a replayable witness interleaving cross-checked against the
-//!   happens-before engine (`AN-RACE-*`).
+//! * [`race`] — the DPOR interleaving explorer (sleep sets over a
+//!   persistent-set reduction), the one model of node scheduling and
+//!   mailbox accepts: the effective-synchrony predicates SYNC-1/SYNC-2,
+//!   with a counterexample under a preemptive-scheduler toggle, and
+//!   mailbox receive-races, lost wakeups, lost signals and
+//!   nondeterministic monitoring interleavings, each with a replayable
+//!   witness interleaving cross-checked against the happens-before
+//!   engine (`AN-RACE-*`).
 //! * [`structural`] — the place/transition-net layer: P-invariants by
 //!   Gaussian elimination over the incidence matrix (credit
 //!   conservation as a machine-checkable certificate), siphon/trap
@@ -74,8 +77,7 @@ pub mod token_lints;
 pub use diag::{Diagnostic, Finding, Location, Report, Severity};
 pub use hb::{analyze_trace, validate_orders, HbStats};
 pub use model::{
-    check_app, check_app_timed, check_preemptive_variant, proven_orders, ModelBudget, ModelTimings,
-    OrderScope, ProvenOrder,
+    check_app, check_app_timed, proven_orders, ModelBudget, ModelTimings, OrderScope, ProvenOrder,
 };
 pub use preflight::{
     analyze_all_versions, analyze_app, analyze_run, analyze_version, analyze_version_timed,
@@ -84,8 +86,8 @@ pub use preflight::{
 };
 pub use protocol::{analyze_protocol, CreditLedger, ProtocolGraph};
 pub use race::{
-    check_race_model, check_races, hb_crosscheck, scope_of_orders, witness_is_concurrent,
-    RaceModel, RaceVerdict, RaceWitness,
+    check_race_model, check_races, hb_crosscheck, scope_of_orders, version_verdict,
+    witness_is_concurrent, RaceModel, RaceVerdict, RaceWitness,
 };
 pub use rate::{analyze_rate, predict, RatePrediction};
 pub use render::{report_json, reports_json, reports_json_with_timings, sarif, SubjectTimings};

@@ -1,7 +1,7 @@
 //! The protocol model checker: machine-checked verdicts about a
 //! [`raysim`] configuration, produced without executing the simulator.
 //!
-//! Three bounded models, each exhaustively explored:
+//! Two bounded models, each exhaustively explored:
 //!
 //! * [`flow`] — the window/credit/pixel-queue protocol in bundle units
 //!   at paper scale (deadlock reachability, peak concurrency / the V3
@@ -9,10 +9,12 @@
 //! * [`exact`] — a pixel-exact segment model for small configurations
 //!   (schedule-dependent *possible* vs schedule-independent
 //!   *inevitable* deadlock, differentially tested against the
-//!   simulator);
-//! * [`sched`] — a small-scope node-scheduler/mailbox model (the
-//!   effective-synchrony theorem, with a counterexample under a
-//!   preemptive toggle).
+//!   simulator).
+//!
+//! The effective-synchrony theorem (`AN-MODEL-004`) is read off the
+//! round-robin verdict of the interleaving explorer in [`crate::race`],
+//! which checks SYNC-1 and SYNC-2 at every mailbox accept; under its
+//! preemptive toggle the same explorer yields the counterexample.
 //!
 //! [`check_app`] runs the layers appropriate for a configuration and
 //! folds the verdicts into [`Diagnostic`]s (the `AN-MODEL-*` codes);
@@ -22,10 +24,8 @@
 
 pub mod exact;
 pub mod flow;
-pub mod sched;
 
-use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use raysim::config::AppConfig;
@@ -34,7 +34,6 @@ use crate::diag::{Diagnostic, Location, Report};
 use crate::structural::DeadlockVerdict;
 use exact::ExactModel;
 use flow::FlowModel;
-use sched::{SchedModel, SchedVerdict};
 
 /// State budgets for the three explorations.
 ///
@@ -48,9 +47,7 @@ pub struct ModelBudget {
     pub flow_states: usize,
     /// Max states for the exact model (`0` disables it).
     pub exact_states: usize,
-    /// Max states for the scheduler model.
-    pub sched_states: usize,
-    /// Max states for the race explorer ([`crate::race`]).
+    /// Max states for the interleaving explorer ([`crate::race`]).
     pub race_states: usize,
 }
 
@@ -60,7 +57,6 @@ impl ModelBudget {
         ModelBudget {
             flow_states: 100_000,
             exact_states: 0,
-            sched_states: 500_000,
             race_states: 200_000,
         }
     }
@@ -71,7 +67,6 @@ impl ModelBudget {
         ModelBudget {
             flow_states: 2_000_000,
             exact_states: 1_000_000,
-            sched_states: 2_000_000,
             race_states: 2_000_000,
         }
     }
@@ -100,35 +95,14 @@ const EXACT_MAX_PIXELS: u32 = 64;
 pub use pipeline::{OrderEdge as ProvenOrder, OrderScope};
 
 /// The orderings guaranteed by message causality and the blocking
-/// mailbox protocol, as witnessed by the scheduler model: a message is
-/// accepted only after its send began, so each job's instrumentation
-/// points are totally ordered across nodes. Delegates to the ray-tracer
-/// workload's own declaration ([`raysim::workload::proven_orders`]),
-/// which this module's scheduler model is the witness for.
+/// mailbox protocol, as witnessed by the interleaving explorer: a
+/// message is accepted only after its send began (SYNC-1), so each
+/// job's instrumentation points are totally ordered across nodes.
+/// Delegates to the ray-tracer workload's own declaration
+/// ([`raysim::workload::proven_orders`]), which [`crate::race`] is the
+/// witness for.
 pub fn proven_orders(app: &AppConfig) -> Vec<ProvenOrder> {
     raysim::workload::proven_orders(app)
-}
-
-/// Explores the scheduler model, memoizing by shape — sweeps pre-flight
-/// hundreds of runs that share the handful of version shapes, and the
-/// verdict depends only on `(master_agents, servant_agents, preemptive,
-/// budget)`.
-pub fn check_sched(model: SchedModel, max_states: usize) -> SchedVerdict {
-    type ShapeKey = (bool, bool, bool, usize);
-    static CACHE: OnceLock<Mutex<HashMap<ShapeKey, SchedVerdict>>> = OnceLock::new();
-    let key = (
-        model.master_agents,
-        model.servant_agents,
-        model.preemptive,
-        max_states,
-    );
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(v) = lock_unpoisoned(cache).get(&key) {
-        return v.clone();
-    }
-    let v = model.explore(max_states);
-    lock_unpoisoned(cache).insert(key, v.clone());
-    v
 }
 
 /// Wall time spent in each model-checking phase of [`check_app_timed`],
@@ -137,9 +111,9 @@ pub fn check_sched(model: SchedModel, max_states: usize) -> SchedVerdict {
 pub struct ModelTimings {
     /// The structural (place/transition-net) layer.
     pub structural: Duration,
-    /// The exhaustive flow/exact/sched explorations.
+    /// The exhaustive flow/exact explorations.
     pub model: Duration,
-    /// The DPOR race explorer.
+    /// The DPOR interleaving explorer (races and effective synchrony).
     pub race: Duration,
 }
 
@@ -412,35 +386,37 @@ pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelT
         }
     }
 
-    // --- Scheduler model: the effective-synchrony theorem.
-    let sv = check_sched(
-        SchedModel {
-            master_agents: app.version.master_agents(),
-            servant_agents: app.version.servant_agents(),
-            preemptive: false,
-        },
-        budget.sched_states,
-    );
-    if sv.bounded {
+    timings.model = phase.elapsed();
+
+    // --- Interleaving explorer: one round-robin exploration yields
+    // both the effective-synchrony theorem and the race verdicts. The
+    // preemptive variant is the `analyze --preemptive`/`--races
+    // --preemptive` section and stays out of the default report.
+    let phase = Instant::now();
+    let rv = crate::race::version_verdict(app, budget, false);
+    let races = crate::race::version_report(app, &rv, false);
+    timings.race = phase.elapsed();
+
+    if rv.bounded {
         bounded_layers.push(BoundedLayer {
             summary: format!(
-                "scheduler model stopped at {} states (budget {})",
-                sv.states, budget.sched_states
+                "interleaving explorer stopped at {} states (budget {})",
+                rv.states, budget.race_states
             ),
             partial: vec!["effective synchrony (SYNC-1/SYNC-2)".to_owned()],
             closed: Vec::new(),
         });
     }
-    if let Some(path) = sv.sync1_violation.clone().or(sv.sync2_violation.clone()) {
+    if let Some(w) = rv.sync_violation() {
         report.push(
             Diagnostic::error(
                 "AN-MODEL-004",
                 "effective synchrony violated: a mailbox send can complete while a user \
                  process still holds its CPU",
             )
-            .with_path("counterexample interleaving", path),
+            .with_path("counterexample interleaving", w.steps.clone()),
         );
-    } else if !sv.bounded {
+    } else if !rv.bounded {
         report.push(Diagnostic::info(
             "AN-MODEL-004",
             format!(
@@ -448,21 +424,11 @@ pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelT
                  all {} reachable interleavings ({} mailbox accepts checked), the sender \
                  is blocked at accept time and no user process on the accepting node is \
                  mid-compute",
-                sv.states, sv.accepts_checked
+                rv.states, rv.accepts_checked
             ),
         ));
     }
-
-    timings.model = phase.elapsed();
-
-    // --- Race explorer: schedule-dependent message orderings. Under
-    // the machine's non-preemptive round-robin the stock shapes are
-    // proven race-free (info findings); the preemptive variant is the
-    // `analyze --races --preemptive` section and stays out of the
-    // default report.
-    let phase = Instant::now();
-    report.merge(crate::race::check_races(app, budget, false));
-    timings.race = phase.elapsed();
+    report.merge(races);
 
     if !bounded_layers.is_empty() {
         let mut d = Diagnostic::info(
@@ -486,27 +452,16 @@ pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelT
     (report, timings)
 }
 
-/// Model-checks the preemptive-scheduler variant of a configuration,
-/// returning the effective-synchrony verdict (with its counterexample
-/// path) directly.
-pub fn check_preemptive_variant(app: &AppConfig, budget: &ModelBudget) -> SchedVerdict {
-    check_sched(
-        SchedModel {
-            master_agents: app.version.master_agents(),
-            servant_agents: app.version.servant_agents(),
-            preemptive: true,
-        },
-        budget.sched_states,
-    )
-}
-
-/// Shared assertions over model-checker witness paths, used by the
-/// scheduler-model and module-level tests alike.
+/// Shared assertions over witness paths, used by the race-explorer and
+/// module-level tests alike.
 #[cfg(test)]
 pub(crate) mod testutil {
-    /// Asserts a witness/counterexample path is well-formed: non-empty,
-    /// no blank steps, and every step readable on one line.
-    pub(crate) fn assert_witness_well_formed(path: &[String]) {
+    /// Asserts a SYNC-2 counterexample is well-formed — non-empty, no
+    /// blank steps, every step on one line — *and* tells the SYNC-2
+    /// story: a preemption occurs along the way (nothing else takes a
+    /// CPU from a process mid-compute) and the final transition is the
+    /// mailbox accept that lands mid-compute.
+    pub(crate) fn assert_sync2_witness(path: &[String]) {
         assert!(!path.is_empty(), "witness path must not be empty");
         for (i, step) in path.iter().enumerate() {
             assert!(!step.trim().is_empty(), "blank witness step at index {i}");
@@ -515,20 +470,13 @@ pub(crate) mod testutil {
                 "multi-line witness step at index {i}: {step:?}"
             );
         }
-    }
-
-    /// Asserts a SYNC-2 counterexample is well-formed *and* tells the
-    /// SYNC-2 story: a preemption occurs along the way and the final
-    /// transition names the violated property.
-    pub(crate) fn assert_sync2_witness(path: &[String]) {
-        assert_witness_well_formed(path);
         assert!(
             path.iter().any(|l| l.contains("preempts")),
             "a SYNC-2 witness must contain a preemption: {path:?}"
         );
         assert!(
-            path.last().unwrap().contains("SYNC-2"),
-            "the final step must name the violation: {path:?}"
+            path.last().unwrap().contains("mailbox accepts"),
+            "the final step must be the accept: {path:?}"
         );
     }
 }
@@ -586,10 +534,39 @@ mod tests {
 
     #[test]
     fn preemptive_variant_yields_a_counterexample() {
-        let verdict =
-            check_preemptive_variant(&AppConfig::version(Version::V4), &ModelBudget::full());
-        let path = verdict.sync2_violation.expect("preemption breaks SYNC-2");
-        testutil::assert_sync2_witness(&path);
+        let verdict = crate::race::version_verdict(
+            &AppConfig::version(Version::V4),
+            &ModelBudget::full(),
+            true,
+        );
+        assert!(verdict.sync1_violation.is_none(), "sends still block");
+        let w = verdict.sync_violation().expect("preemption breaks SYNC-2");
+        assert_eq!(w.code, "AN-RACE-004");
+        testutil::assert_sync2_witness(&w.steps);
+    }
+
+    #[test]
+    fn bounded_race_budget_leaves_effective_synchrony_partial() {
+        let budget = ModelBudget {
+            race_states: 50,
+            ..ModelBudget::preflight()
+        };
+        let report = check_app(&AppConfig::version(Version::V4), &budget);
+        assert!(!report.contains("AN-MODEL-004"), "{}", report.render());
+        let bounded = report
+            .findings
+            .iter()
+            .find(|f| f.code == "AN-MODEL-005")
+            .expect("the bounded explorer must be noted");
+        assert!(
+            bounded
+                .notes
+                .iter()
+                .any(|n| n.contains("interleaving explorer stopped")
+                    && n.contains("still partial: effective synchrony (SYNC-1/SYNC-2)")),
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

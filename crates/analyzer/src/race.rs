@@ -1,16 +1,21 @@
-//! The message-race explorer: DPOR (persistent sets + sleep sets) over
+//! The interleaving explorer: DPOR (persistent sets + sleep sets) over
 //! the kernel/mailbox interleaving space, surfacing the schedule-
 //! dependent behaviour monitoring must expect — with a concrete,
 //! replayable witness interleaving for every finding.
 //!
-//! The scheduler model ([`crate::model::sched`]) proves effective
-//! synchrony under non-preemptive round-robin; this module asks the
-//! complementary question: *which message orderings are actually
-//! possible under an arbitrary scheduler?* Four race classes are
-//! checked, each a state-local predicate evaluated on the transition
-//! that completes the race (so partial-order reduction cannot hide
-//! one — every transition is explored from some representative
-//! interleaving):
+//! It is the analyzer's only explorer of this state space, and one
+//! exploration answers two questions. The first is the paper's
+//! effective-synchrony theorem: under non-preemptive round-robin, at
+//! every mailbox accept the sender is still blocked in its send
+//! (**SYNC-1**, recorded as [`RaceVerdict::sync1_violation`]) and no
+//! user process on the accepting node is mid-compute (**SYNC-2**, the
+//! AN-RACE-004 class below). [`crate::model::check_app`] reads
+//! `AN-MODEL-004` off the round-robin verdict. The second is *which
+//! message orderings are actually possible under an arbitrary
+//! scheduler?* Four race classes are checked, each a state-local
+//! predicate evaluated on the transition that completes the race (so
+//! partial-order reduction cannot hide one — every transition is
+//! explored from some representative interleaving):
 //!
 //! * **AN-RACE-001, mailbox receive-race** — at the moment a mailbox
 //!   accepts a message, another message for the same receiver is
@@ -38,17 +43,19 @@
 //!   a race the instrumentation would observe).
 //!
 //! The explorer is a depth-first search with **sleep sets** layered on
-//! the same singleton-ample reduction the scheduler model uses: a
-//! transition explored from one interleaving is put to sleep in its
-//! independent siblings' subtrees, and a state is re-explored only
-//! when reached with a sleep set that is not a superset of one already
-//! explored. Every witness carries both rendered step labels and the
-//! structured schedule ([`RaceWitness::schedule`]) so it can be
-//! replayed ([`RaceModel::replay`]) and cross-checked against the
-//! vector-clock happens-before engine ([`hb_crosscheck`]).
+//! a singleton-ample reduction ([`RaceModel::explore`]): a transition
+//! explored from one interleaving is put to sleep in its independent
+//! siblings' subtrees, and a state is re-explored only when reached
+//! with a sleep set that is not a superset of one already explored.
+//! [`RaceModel::explore_full`] keeps the unreduced exploration the
+//! `dpor_soundness` differential tests compare against. Every witness
+//! carries both rendered step labels and the structured schedule
+//! ([`RaceWitness::schedule`]) so it can be replayed
+//! ([`RaceModel::replay`]) and cross-checked against the vector-clock
+//! happens-before engine ([`hb_crosscheck`]).
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use raysim::config::AppConfig;
 use simple::{Event, Trace};
@@ -60,16 +67,32 @@ use crate::model::{ModelBudget, OrderScope, ProvenOrder};
 /// A message: job or result, with an id and the sending process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct Msg {
-    /// 0 = job, 1 = result.
+    /// [`Msg::JOB`] or [`Msg::RESULT`].
     kind: u8,
     id: u8,
     from: u8,
 }
 
 impl Msg {
+    const JOB: u8 = 0;
+    const RESULT: u8 = 1;
+
     fn describe(self) -> String {
-        let kind = if self.kind == 0 { "job" } else { "result" };
+        let kind = if self.kind == Msg::JOB {
+            "job"
+        } else {
+            "result"
+        };
         format!("{kind} #{}", self.id)
+    }
+}
+
+/// A blocking send of message `kind` #`id` from process `from` to
+/// process `to`.
+fn send(to: u8, kind: u8, id: u8, from: u8) -> Op {
+    Op::Send {
+        to,
+        msg: Msg { kind, id, from },
     }
 }
 
@@ -161,7 +184,12 @@ pub enum Tid {
     Accept { node: u8 },
 }
 
-/// A race observed on a transition.
+/// The code a SYNC-1 violation is recorded under: not a race class,
+/// so it lands in [`RaceVerdict::sync1_violation`], never in the
+/// `AN-RACE-*` report.
+pub const SYNC1: &str = "SYNC-1";
+
+/// A race (or a SYNC-1 violation) observed on a transition.
 #[derive(Debug, Clone)]
 struct Hit {
     code: &'static str,
@@ -181,7 +209,7 @@ struct Trans {
 /// model and checkable against the happens-before engine.
 #[derive(Debug, Clone)]
 pub struct RaceWitness {
-    /// The race class (`AN-RACE-001`..`004`).
+    /// The race class (`AN-RACE-001`..`004`), or [`SYNC1`].
     pub code: &'static str,
     /// Rendered step labels, ending at the racing transition.
     pub steps: Vec<String>,
@@ -204,6 +232,9 @@ pub struct RaceVerdict {
     pub sleep_skips: usize,
     /// Mailbox accepts examined.
     pub accepts_checked: usize,
+    /// The first accept whose sender was not blocked in the send: a
+    /// counterexample to SYNC-1.
+    pub sync1_violation: Option<RaceWitness>,
     /// First witness per race class, in code order.
     pub witnesses: Vec<RaceWitness>,
     /// Total race occurrences per class (a witness is kept only for
@@ -227,6 +258,15 @@ impl RaceVerdict {
     pub fn race_free(&self) -> bool {
         self.witnesses.is_empty()
     }
+
+    /// A counterexample to effective synchrony: the SYNC-1 witness, or
+    /// else the AN-RACE-004 (SYNC-2) one. `None` means both held in
+    /// every explored state.
+    pub fn sync_violation(&self) -> Option<&RaceWitness> {
+        self.sync1_violation
+            .as_ref()
+            .or_else(|| self.witness("AN-RACE-004"))
+    }
 }
 
 /// The bounded scope: a fixed cast of processes on a handful of nodes,
@@ -248,91 +288,46 @@ pub struct RaceModel {
 }
 
 impl RaceModel {
-    /// The master/servant shape of a program version: the same cast as
-    /// the scheduler model (master + servant + the version's
-    /// communication agents), two jobs under window flow control.
+    /// The master/servant shape of a program version: master, servant
+    /// and the version's communication agents, one CPU and one kernel
+    /// mailbox LWP per node, two jobs under window flow control. The
+    /// compute phases are the mid-compute windows that matter under
+    /// preemption: the second message of either direction can arrive
+    /// during one.
     pub fn version_shape(master_agents: bool, servant_agents: bool, preemptive: bool) -> RaceModel {
-        let mut node_of = vec![0u8, 1u8];
+        let mut node_of = vec![0u8, 1];
         let mut names = vec!["the master", "the servant"];
-        let mut next = 2u8;
-        let magent = if master_agents {
-            node_of.push(0);
-            names.push("the master's send agent");
-            next += 1;
-            Some(next - 1)
-        } else {
-            None
+        // An agent on `node` forwards its owner's two messages of
+        // `kind` to process `to`, one per signal.
+        let mut agent = |node: u8, name, to: u8, kind: u8| {
+            let a = node_of.len() as u8;
+            node_of.push(node);
+            names.push(name);
+            let script: Vec<Op> = (0..2)
+                .flat_map(|i| [Op::WaitSignal, send(to, kind, i, a)])
+                .collect();
+            (a, script)
         };
-        let sagent = if servant_agents {
-            node_of.push(1);
-            names.push("the servant's result agent");
-            Some(next)
-        } else {
-            None
-        };
+        let magent = master_agents.then(|| agent(0, "the master's send agent", 1, Msg::JOB));
+        let sagent = servant_agents.then(|| agent(1, "the servant's result agent", 0, Msg::RESULT));
 
-        let job = |i: u8, from: u8| Msg {
-            kind: 0,
-            id: i,
-            from,
+        let mut master: Vec<Op> = match &magent {
+            Some((a, _)) => vec![Op::Signal { p: *a }; 2],
+            None => (0..2).map(|i| send(1, Msg::JOB, i, 0)).collect(),
         };
-        let result = |i: u8, from: u8| Msg {
-            kind: 1,
-            id: i,
-            from,
-        };
-
-        let mut scripts: Vec<Vec<Op>> = Vec::new();
-        let mut master = Vec::new();
-        if let Some(ma) = magent {
-            master.extend([Op::Signal { p: ma }, Op::Signal { p: ma }]);
-        } else {
-            for i in 0..2u8 {
-                master.push(Op::Send {
-                    to: 1,
-                    msg: job(i, 0),
-                });
-            }
-        }
         master.extend([Op::Compute, Op::Recv, Op::Compute, Op::Recv]);
-        scripts.push(master);
-
-        let mut servant = Vec::new();
-        for i in 0..2u8 {
-            servant.extend([Op::Recv, Op::Compute]);
-            if let Some(sa) = sagent {
-                servant.push(Op::Signal { p: sa });
-            } else {
-                servant.push(Op::Send {
-                    to: 0,
-                    msg: result(i, 1),
-                });
-            }
-        }
-        scripts.push(servant);
-
-        if let Some(ma) = magent {
-            let mut agent = Vec::new();
-            for i in 0..2u8 {
-                agent.push(Op::WaitSignal);
-                agent.push(Op::Send {
-                    to: 1,
-                    msg: job(i, ma),
-                });
-            }
-            scripts.push(agent);
-        }
-        if let Some(sa) = sagent {
-            let mut agent = Vec::new();
-            for i in 0..2u8 {
-                agent.push(Op::WaitSignal);
-                agent.push(Op::Send {
-                    to: 0,
-                    msg: result(i, sa),
-                });
-            }
-            scripts.push(agent);
-        }
+        let servant = (0..2)
+            .flat_map(|i| {
+                let answer = match &sagent {
+                    Some((a, _)) => Op::Signal { p: *a },
+                    None => send(0, Msg::RESULT, i, 1),
+                };
+                [Op::Recv, Op::Compute, answer]
+            })
+            .collect();
+        let mut scripts = vec![master, servant];
+        scripts.extend(magent.map(|(_, script)| script));
+        scripts.extend(sagent.map(|(_, script)| script));
 
         RaceModel {
             node_of,
@@ -350,30 +345,13 @@ impl RaceModel {
     /// race is real under *any* scheduler; whether it is reported
     /// depends on [`RaceModel::scope`].
     pub fn spmd_shape(preemptive: bool, scope: OrderScope) -> RaceModel {
-        let result = |i: u8, from: u8| Msg {
-            kind: 1,
-            id: i,
-            from,
-        };
         RaceModel {
             node_of: vec![0, 1, 2],
             names: vec!["the collector", "worker 1", "worker 2"],
             scripts: vec![
                 vec![Op::Recv, Op::Recv],
-                vec![
-                    Op::Compute,
-                    Op::Send {
-                        to: 0,
-                        msg: result(0, 1),
-                    },
-                ],
-                vec![
-                    Op::Compute,
-                    Op::Send {
-                        to: 0,
-                        msg: result(1, 2),
-                    },
-                ],
+                vec![Op::Compute, send(0, Msg::RESULT, 0, 1)],
+                vec![Op::Compute, send(0, Msg::RESULT, 1, 2)],
             ],
             nodes: 3,
             preemptive,
@@ -423,6 +401,17 @@ impl RaceModel {
     fn enabled(&self, s: &State) -> Vec<Trans> {
         let mut out: Vec<Trans> = Vec::new();
         let node_of = |p: usize| self.node_of[p] as usize;
+        // A dispatch or preemption: only node `n`'s CPU changes hands.
+        let switch = |n: usize, cpu: Cpu, tid: Tid, label: String| {
+            let mut next = s.clone();
+            next.cpu[n] = cpu;
+            Trans {
+                tid,
+                next,
+                label,
+                hits: Vec::new(),
+            }
+        };
 
         for (i, &(msg, dst)) in s.transit.iter().enumerate() {
             let n = node_of(dst as usize);
@@ -446,64 +435,56 @@ impl RaceModel {
                 Cpu::Idle => {
                     for (p, proc) in s.procs.iter().enumerate() {
                         if node_of(p) == n && proc.status.runnable() {
-                            let mut t = s.clone();
-                            t.cpu[n] = Cpu::User(p as u8);
-                            out.push(Trans {
-                                tid: Tid::Dispatch { proc_: p as u8 },
-                                next: t,
-                                label: format!("node {n} dispatches {}", self.names[p]),
-                                hits: Vec::new(),
-                            });
+                            out.push(switch(
+                                n,
+                                Cpu::User(p as u8),
+                                Tid::Dispatch { proc_: p as u8 },
+                                format!("node {n} dispatches {}", self.names[p]),
+                            ));
                         }
                     }
                     if !s.pending[n].is_empty() {
-                        let mut t = s.clone();
-                        t.cpu[n] = Cpu::Mailbox;
-                        out.push(Trans {
-                            tid: Tid::DispatchMailbox { node: n as u8 },
-                            next: t,
-                            label: format!("node {n} dispatches its mailbox LWP"),
-                            hits: Vec::new(),
-                        });
+                        out.push(switch(
+                            n,
+                            Cpu::Mailbox,
+                            Tid::DispatchMailbox { node: n as u8 },
+                            format!("node {n} dispatches its mailbox LWP"),
+                        ));
                     }
                 }
                 Cpu::User(p) => {
                     let p = p as usize;
                     if self.preemptive {
                         if !s.pending[n].is_empty() {
-                            let mut t = s.clone();
-                            t.cpu[n] = Cpu::Mailbox;
-                            out.push(Trans {
-                                tid: Tid::PreemptMailbox {
+                            out.push(switch(
+                                n,
+                                Cpu::Mailbox,
+                                Tid::PreemptMailbox {
                                     node: n as u8,
                                     from: p as u8,
                                 },
-                                next: t,
-                                label: format!(
+                                format!(
                                     "node {n}'s mailbox LWP preempts {}{}",
                                     self.names[p],
                                     if s.procs[p].mid { " mid-compute" } else { "" }
                                 ),
-                                hits: Vec::new(),
-                            });
+                            ));
                         }
                         for (q, proc) in s.procs.iter().enumerate() {
                             if q != p && node_of(q) == n && proc.status.runnable() {
-                                let mut t = s.clone();
-                                t.cpu[n] = Cpu::User(q as u8);
-                                out.push(Trans {
-                                    tid: Tid::PreemptUser {
+                                out.push(switch(
+                                    n,
+                                    Cpu::User(q as u8),
+                                    Tid::PreemptUser {
                                         node: n as u8,
                                         from: p as u8,
                                         to: q as u8,
                                     },
-                                    next: t,
-                                    label: format!(
+                                    format!(
                                         "{} preempts {} on node {n}",
                                         self.names[q], self.names[p]
                                     ),
-                                    hits: Vec::new(),
-                                });
+                                ));
                             }
                         }
                     }
@@ -519,11 +500,20 @@ impl RaceModel {
     }
 
     /// The mailbox LWP accepts the oldest pending message on node `n`,
-    /// checking the receive-race and monitoring-interleaving
+    /// checking SYNC-1 and the receive-race and monitoring-interleaving
     /// predicates on the way.
     fn accept(&self, s: &State, n: usize) -> Trans {
         let (msg, dst) = s.pending[n][0];
         let mut hits = Vec::new();
+
+        // SYNC-1: the sender is still blocked in the send — it cannot
+        // have "completed asynchronously" before giving up its CPU.
+        if s.procs[msg.from as usize].status != Status::BlockedSend(msg) {
+            hits.push(Hit {
+                code: SYNC1,
+                pair: (msg.from, dst),
+            });
+        }
 
         // AN-RACE-001: another message for the same receiver is already
         // in flight from a different sender — the accept order is
@@ -587,137 +577,110 @@ impl RaceModel {
         let mut t = s.clone();
         let name = self.names[p];
         let mut hits = Vec::new();
+        let pc = t.procs[p].pc as usize;
 
         // Commit phases of the two-phase blocking operations come
         // first: the process promised to sleep and now does, whatever
         // happened in between.
-        match t.procs[p].status {
+        let label = match t.procs[p].status {
             Status::CommitRecv => {
-                let lost = !t.procs[p].inbox.is_empty();
-                if lost {
+                t.procs[p].status = Status::BlockedRecv;
+                t.cpu[n] = Cpu::Idle;
+                if let Some(m) = t.procs[p].inbox.first() {
                     // AN-RACE-002: a message was delivered between the
                     // empty-check and this sleep commit; its wakeup
                     // went to nobody.
-                    let from = t.procs[p].inbox[0].from;
                     hits.push(Hit {
                         code: "AN-RACE-002",
-                        pair: (p as u8, from),
+                        pair: (p as u8, m.from),
                     });
-                }
-                t.procs[p].status = Status::BlockedRecv;
-                t.cpu[n] = Cpu::Idle;
-                let label = if lost {
                     format!(
                         "{name} commits to sleep although a message is already in its \
                          inbox — the wakeup is lost (AN-RACE-002)"
                     )
                 } else {
                     format!("{name} commits to sleep awaiting a message")
-                };
-                return Trans {
-                    tid: Tid::Step { proc_: p as u8 },
-                    next: t,
-                    label,
-                    hits,
-                };
+                }
             }
             Status::CommitSig => {
-                let lost = t.procs[p].sig > 0;
-                if lost {
+                t.procs[p].status = Status::BlockedSig;
+                t.cpu[n] = Cpu::Idle;
+                if t.procs[p].sig > 0 {
                     hits.push(Hit {
                         code: "AN-RACE-003",
                         pair: (p as u8, self.signaler_of(p)),
                     });
-                }
-                t.procs[p].status = Status::BlockedSig;
-                t.cpu[n] = Cpu::Idle;
-                let label = if lost {
                     format!(
                         "{name} commits to sleep although its signal count is nonzero — \
                          the signal is lost (AN-RACE-003)"
                     )
                 } else {
                     format!("{name} commits to sleep awaiting a signal")
-                };
-                return Trans {
-                    tid: Tid::Step { proc_: p as u8 },
-                    next: t,
-                    label,
-                    hits,
-                };
+                }
             }
-            _ => {}
-        }
-
-        let pc = t.procs[p].pc as usize;
-        if pc >= self.scripts[p].len() {
-            t.procs[p].status = Status::Done;
-            t.cpu[n] = Cpu::Idle;
-            return Trans {
-                tid: Tid::Step { proc_: p as u8 },
-                next: t,
-                label: format!("{name} finishes and exits"),
-                hits,
-            };
-        }
-
-        let label = match self.scripts[p][pc] {
-            Op::Send { to, msg } => {
-                t.procs[p].pc += 1;
-                t.procs[p].status = Status::BlockedSend(msg);
-                t.transit.push((msg, to));
-                t.transit.sort_unstable();
+            _ if pc >= self.scripts[p].len() => {
+                t.procs[p].status = Status::Done;
                 t.cpu[n] = Cpu::Idle;
-                format!(
-                    "{name} sends {} to {} and blocks until it is accepted",
-                    msg.describe(),
-                    self.names[to as usize]
-                )
+                format!("{name} finishes and exits")
             }
-            Op::Recv => {
-                if t.procs[p].inbox.is_empty() {
-                    // Phase one: observe empty. The CPU is kept — only
-                    // preemption can separate this from the commit.
-                    t.procs[p].status = Status::CommitRecv;
-                    format!("{name} finds its inbox empty and prepares to sleep")
-                } else {
-                    let msg = t.procs[p].inbox.remove(0);
+            _ => match self.scripts[p][pc] {
+                Op::Send { to, msg } => {
                     t.procs[p].pc += 1;
-                    format!("{name} receives {}", msg.describe())
+                    t.procs[p].status = Status::BlockedSend(msg);
+                    t.transit.push((msg, to));
+                    t.transit.sort_unstable();
+                    t.cpu[n] = Cpu::Idle;
+                    format!(
+                        "{name} sends {} to {} and blocks until it is accepted",
+                        msg.describe(),
+                        self.names[to as usize]
+                    )
                 }
-            }
-            Op::Compute => {
-                if t.procs[p].mid {
-                    t.procs[p].mid = false;
+                Op::Recv => {
+                    if t.procs[p].inbox.is_empty() {
+                        // Phase one: observe empty. The CPU is kept — only
+                        // preemption can separate this from the commit.
+                        t.procs[p].status = Status::CommitRecv;
+                        format!("{name} finds its inbox empty and prepares to sleep")
+                    } else {
+                        let msg = t.procs[p].inbox.remove(0);
+                        t.procs[p].pc += 1;
+                        format!("{name} receives {}", msg.describe())
+                    }
+                }
+                Op::Compute => {
+                    if t.procs[p].mid {
+                        t.procs[p].mid = false;
+                        t.procs[p].pc += 1;
+                        format!("{name} finishes computing")
+                    } else {
+                        t.procs[p].mid = true;
+                        format!("{name} starts computing")
+                    }
+                }
+                Op::Signal { p: q } => {
+                    let q = q as usize;
                     t.procs[p].pc += 1;
-                    format!("{name} finishes computing")
-                } else {
-                    t.procs[p].mid = true;
-                    format!("{name} starts computing")
+                    t.procs[q].sig += 1;
+                    // Only a waiter already asleep is woken; one between
+                    // its zero-check and its sleep commit misses the
+                    // signal — the AN-RACE-003 window.
+                    if t.procs[q].status == Status::BlockedSig {
+                        t.procs[q].status = Status::Ready;
+                    }
+                    format!("{name} signals {}", self.names[q])
                 }
-            }
-            Op::Signal { p: q } => {
-                let q = q as usize;
-                t.procs[p].pc += 1;
-                t.procs[q].sig += 1;
-                // Only a waiter already asleep is woken; one between
-                // its zero-check and its sleep commit misses the
-                // signal — the AN-RACE-003 window.
-                if t.procs[q].status == Status::BlockedSig {
-                    t.procs[q].status = Status::Ready;
+                Op::WaitSignal => {
+                    if t.procs[p].sig > 0 {
+                        t.procs[p].sig -= 1;
+                        t.procs[p].pc += 1;
+                        format!("{name} consumes a signal")
+                    } else {
+                        t.procs[p].status = Status::CommitSig;
+                        format!("{name} finds no signal pending and prepares to sleep")
+                    }
                 }
-                format!("{name} signals {}", self.names[q])
-            }
-            Op::WaitSignal => {
-                if t.procs[p].sig > 0 {
-                    t.procs[p].sig -= 1;
-                    t.procs[p].pc += 1;
-                    format!("{name} consumes a signal")
-                } else {
-                    t.procs[p].status = Status::CommitSig;
-                    format!("{name} finds no signal pending and prepares to sleep")
-                }
-            }
+            },
         };
         Trans {
             tid: Tid::Step { proc_: p as u8 },
@@ -793,12 +756,17 @@ impl RaceModel {
         pa & pb == 0 && na & nb == 0 && !(ta && tb)
     }
 
-    /// The singleton ample set, mirroring the scheduler model's: the
-    /// running user process's next step, when provably independent of
-    /// everything other processes could do first. Under preemption the
-    /// step additionally races with preemptions of its own CPU, so the
-    /// singleton needs the node message-isolated *and* no other
-    /// runnable process on it.
+    /// The singleton ample set: the running user process's next step,
+    /// when provably independent of everything other processes could do
+    /// first. Without preemption this always holds: the mailbox LWP
+    /// needs an idle CPU, a running process is never the sender of an
+    /// in-flight message, and remote steps touch disjoint state, so
+    /// each node's run-to-block becomes a deterministic chain. Under
+    /// preemption the step additionally races with preemptions of its
+    /// own CPU, so the singleton needs the node message-isolated (nothing
+    /// pending at or in transit to it, and no remaining script sends to
+    /// it) *and* no other runnable process on it. A cross-node `Signal`
+    /// is never chained.
     fn ample(&self, s: &State, send_masks: &[Vec<u8>]) -> Option<(usize, usize)> {
         for n in 0..s.cpu.len() {
             let Cpu::User(p) = s.cpu[n] else { continue };
@@ -856,6 +824,7 @@ impl RaceModel {
             bounded: false,
             sleep_skips: 0,
             accepts_checked: 0,
+            sync1_violation: None,
             witnesses: Vec::new(),
             occurrences: HashMap::new(),
             suppressed_receive_races: 0,
@@ -863,7 +832,10 @@ impl RaceModel {
         };
         // Sleep sets already explored per state; a new visit explores
         // only if its sleep set is not a superset of a recorded one.
-        let mut visited: HashMap<State, Vec<BTreeSet<Tid>>> = HashMap::new();
+        // Sized once for the round-robin shapes every pre-flight
+        // explores (under 450 states) instead of rehashing as it grows.
+        let mut visited: HashMap<State, Vec<BTreeSet<Tid>>> =
+            HashMap::with_capacity(max_states.min(1024));
         let mut path: Vec<(Tid, String)> = Vec::new();
         self.dfs(
             self.initial(),
@@ -967,32 +939,40 @@ impl RaceModel {
         }
     }
 
-    /// Records a race hit: counts every occurrence, keeps a witness
-    /// for the first of each class (per-channel receive-races are
-    /// suppressed — counted separately, never reported).
+    /// Records a hit: keeps the first SYNC-1 violation; for a race,
+    /// counts every occurrence and keeps a witness for the first of
+    /// each class (per-channel receive-races are suppressed — counted
+    /// separately, never reported).
     fn record(&self, hit: &Hit, t: &Trans, path: &[(Tid, String)], verdict: &mut RaceVerdict) {
+        let witness = || {
+            let mut steps: Vec<String> = path.iter().map(|(_, l)| l.clone()).collect();
+            steps.push(t.label.clone());
+            let mut schedule: Vec<Tid> = path.iter().map(|(tid, _)| *tid).collect();
+            schedule.push(t.tid);
+            RaceWitness {
+                code: hit.code,
+                steps,
+                schedule,
+                pair: hit.pair,
+            }
+        };
+        if hit.code == SYNC1 {
+            verdict.sync1_violation.get_or_insert_with(witness);
+            return;
+        }
         if hit.code == "AN-RACE-001" && self.scope == OrderScope::PerChannel {
             verdict.suppressed_receive_races += 1;
             return;
         }
         *verdict.occurrences.entry(hit.code).or_insert(0) += 1;
         if verdict.witness(hit.code).is_none() {
-            let mut steps: Vec<String> = path.iter().map(|(_, l)| l.clone()).collect();
-            steps.push(t.label.clone());
-            let mut schedule: Vec<Tid> = path.iter().map(|(tid, _)| *tid).collect();
-            schedule.push(t.tid);
-            verdict.witnesses.push(RaceWitness {
-                code: hit.code,
-                steps,
-                schedule,
-                pair: hit.pair,
-            });
+            verdict.witnesses.push(witness());
             verdict.witnesses.sort_by_key(|w| w.code);
         }
     }
 
-    /// Replays a witness schedule step by step, returning the race
-    /// codes fired on the final transition — the machine check that a
+    /// Replays a witness schedule step by step, returning the codes
+    /// (race classes and [`SYNC1`]) fired on the final transition — the machine check that a
     /// witness is a real interleaving of this model, not an artifact
     /// of the reduction.
     pub fn replay(&self, schedule: &[Tid]) -> Option<Vec<&'static str>> {
@@ -1083,7 +1063,12 @@ const RACE_CODES: [(&str, &str); 4] = [
 /// stay warnings — the pre-flight policies treat them as survivable by
 /// default; the `--strict` gate escalates them.
 pub fn check_race_model(model: &RaceModel, max_states: usize, subject: &str) -> Report {
-    let v = model.explore(max_states);
+    race_report(model, &model.explore(max_states), subject)
+}
+
+/// Folds an explored verdict of `model` into the `AN-RACE-*` report
+/// [`check_race_model`] describes.
+fn race_report(model: &RaceModel, v: &RaceVerdict, subject: &str) -> Report {
     let mut report = Report::new(subject.to_owned());
 
     for (code, story) in RACE_CODES {
@@ -1162,12 +1147,17 @@ pub fn check_race_model(model: &RaceModel, max_states: usize, subject: &str) -> 
     report
 }
 
-/// Race-checks a program version's communication shape under the given
-/// scheduler, memoized by shape — the verdict depends only on the
-/// agent layout, the toggle, and the budget.
-pub fn check_races(app: &AppConfig, budget: &ModelBudget, preemptive: bool) -> Report {
+/// Explores a program version's communication shape under the given
+/// scheduler, memoized by shape — sweeps pre-flight hundreds of runs
+/// that share the handful of version shapes, and the verdict depends
+/// only on the agent layout, the toggle, and the budget.
+pub fn version_verdict(
+    app: &AppConfig,
+    budget: &ModelBudget,
+    preemptive: bool,
+) -> Arc<RaceVerdict> {
     type ShapeKey = (bool, bool, bool, usize);
-    static CACHE: OnceLock<Mutex<HashMap<ShapeKey, Report>>> = OnceLock::new();
+    static CACHE: OnceLock<Mutex<HashMap<ShapeKey, Arc<RaceVerdict>>>> = OnceLock::new();
     let key = (
         app.version.master_agents(),
         app.version.servant_agents(),
@@ -1175,10 +1165,28 @@ pub fn check_races(app: &AppConfig, budget: &ModelBudget, preemptive: bool) -> R
         budget.race_states,
     );
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(r) = crate::model::lock_unpoisoned(cache).get(&key) {
-        return r.clone();
+    if let Some(v) = crate::model::lock_unpoisoned(cache).get(&key) {
+        return v.clone();
     }
-    let model = RaceModel::version_shape(key.0, key.1, preemptive);
+    let v =
+        Arc::new(RaceModel::version_shape(key.0, key.1, preemptive).explore(budget.race_states));
+    crate::model::lock_unpoisoned(cache).insert(key, v.clone());
+    v
+}
+
+/// Race-checks a program version's communication shape under the given
+/// scheduler, from the memoized [`version_verdict`].
+pub fn check_races(app: &AppConfig, budget: &ModelBudget, preemptive: bool) -> Report {
+    version_report(app, &version_verdict(app, budget, preemptive), preemptive)
+}
+
+/// The `AN-RACE-*` report of a program version's [`version_verdict`].
+pub(crate) fn version_report(app: &AppConfig, v: &RaceVerdict, preemptive: bool) -> Report {
+    let model = RaceModel::version_shape(
+        app.version.master_agents(),
+        app.version.servant_agents(),
+        preemptive,
+    );
     let subject = format!(
         "{} message races ({} scheduler)",
         app.version,
@@ -1188,9 +1196,7 @@ pub fn check_races(app: &AppConfig, budget: &ModelBudget, preemptive: bool) -> R
             "non-preemptive round-robin"
         }
     );
-    let report = check_race_model(&model, budget.race_states, &subject);
-    crate::model::lock_unpoisoned(cache).insert(key, report.clone());
-    report
+    race_report(&model, v, &subject)
 }
 
 #[cfg(test)]
@@ -1204,10 +1210,14 @@ mod tests {
 
     #[test]
     fn round_robin_is_race_free_for_every_version_shape() {
+        // Race-free includes AN-RACE-004, so with SYNC-1 this is the
+        // effective-synchrony theorem for every version shape.
         for (ma, sa) in shapes() {
             let v = RaceModel::version_shape(ma, sa, false).explore(1_000_000);
             assert!(!v.bounded, "({ma},{sa}) should close: {} states", v.states);
             assert!(v.race_free(), "({ma},{sa}): {:?}", v.witnesses);
+            assert!(v.sync1_violation.is_none(), "({ma},{sa})");
+            assert!(v.sync_violation().is_none(), "({ma},{sa})");
             assert!(v.completion_reachable, "({ma},{sa})");
             assert!(v.accepts_checked > 0);
         }
@@ -1251,11 +1261,23 @@ mod tests {
 
     #[test]
     fn preemption_breaks_monitoring_determinism() {
-        let v = RaceModel::version_shape(false, false, true).explore(2_000_000);
-        assert!(
-            v.witness("AN-RACE-004").is_some(),
-            "mid-compute accept must be reachable"
-        );
+        // SYNC-2 fails in every version shape, with a replayable
+        // counterexample; sends still block, so SYNC-1 keeps holding.
+        for (ma, sa) in shapes() {
+            let model = RaceModel::version_shape(ma, sa, true);
+            let v = model.explore(4_000_000);
+            assert!(!v.bounded, "({ma},{sa}) should close: {} states", v.states);
+            assert!(
+                v.sync1_violation.is_none(),
+                "sends still block: ({ma},{sa})"
+            );
+            let w = v
+                .witness("AN-RACE-004")
+                .unwrap_or_else(|| panic!("({ma},{sa}): mid-compute accept must be reachable"));
+            crate::model::testutil::assert_sync2_witness(&w.steps);
+            let fired = model.replay(&w.schedule).expect("schedule must replay");
+            assert!(fired.contains(&"AN-RACE-004"), "{fired:?}");
+        }
     }
 
     #[test]
@@ -1291,11 +1313,13 @@ mod tests {
 
     #[test]
     fn sleep_sets_prune_without_losing_verdicts() {
-        // The reduction must actually fire, and an unreduced DFS is
-        // not feasible to compare here — the differential check lives
-        // in the dpor_soundness suite against the scheduler model.
+        // The reduction must actually fire on the largest shape, which
+        // must stay small-scope; the differential check against the
+        // unreduced exploration lives in the dpor_soundness suite.
         let v = RaceModel::version_shape(true, true, true).explore(4_000_000);
         assert!(v.sleep_skips > 0, "sleep sets never fired");
+        assert!(!v.bounded);
+        assert!(v.states < 1_000_000, "scope crept: {} states", v.states);
     }
 
     #[test]
@@ -1309,6 +1333,13 @@ mod tests {
             assert!(rr.findings.iter().all(|f| f.code.starts_with("AN-RACE-")));
             let pre = check_races(&app, &budget, true);
             assert!(pre.warnings() >= 1, "{version}: {}", pre.render());
+            // V3 and V4 share a shape, hence a cached verdict; each
+            // report still names its own version.
+            assert!(
+                pre.subject.starts_with(&version.to_string()),
+                "{version}: {}",
+                pre.subject
+            );
             assert!(
                 pre.findings
                     .iter()

@@ -3,7 +3,7 @@
 //! budgets.
 //!
 //! The exhaustive layers ([`crate::model::flow`], [`crate::model::exact`],
-//! [`crate::model::sched`]) prove the paper's protocol properties by
+//! [`crate::race`]) prove the paper's protocol properties by
 //! enumerating states, so every universal claim degrades to a partial
 //! one (AN-MODEL-005) once a shape outgrows the state budget — exactly
 //! where the scaling ladder is heading. This module proves the same

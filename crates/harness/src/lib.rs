@@ -264,6 +264,27 @@ pub struct ArtifactRun {
     /// schema-4 field — artifacts written before it exist all ran
     /// round-robin, so absence reads back as `"rr"`.
     pub scheduler: String,
+    /// Monitor-shard count, `None` when the artifact does not record it.
+    pub shards: Option<usize>,
+    /// Engine worker-thread count. Additive schema-4 field — artifacts
+    /// written before it exist all ran with 1, so absence reads as 1.
+    pub engine_shards: usize,
+    /// Worker threads of the sweep the run belongs to, `None` when the
+    /// artifact does not record it.
+    pub workers: Option<usize>,
+}
+
+impl ArtifactRun {
+    /// The run layout fields `compare` requires to match, as
+    /// `(field, value)`; an unrecorded value renders as `unknown`.
+    fn layout(&self) -> [(&'static str, String); 3] {
+        let known = |v: Option<usize>| v.map_or_else(|| "unknown".to_owned(), |n| n.to_string());
+        [
+            ("workers", known(self.workers)),
+            ("shards", known(self.shards)),
+            ("engine_shards", self.engine_shards.to_string()),
+        ]
+    }
 }
 
 /// Reads the per-run rows back out of an artifact's JSON text.
@@ -275,56 +296,74 @@ pub struct ArtifactRun {
 /// # Errors
 ///
 /// Names the run label and the field when a numeric field does not
-/// parse — a corrupted artifact must not read back as zero throughput.
+/// parse, or when `wall_ms`, `events_per_sec` or `trace_digest` is
+/// missing — a corrupted artifact must not read back as zero
+/// throughput.
 pub fn parse_artifact_runs(json_text: &str) -> Result<Vec<ArtifactRun>, String> {
-    fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let rest = line.trim_start().strip_prefix(&format!("\"{key}\": "))?;
-        Some(rest.trim_end_matches(','))
-    }
-    fn str_value(raw: &str) -> String {
-        raw.trim_matches('"').to_owned()
-    }
     fn number<T: std::str::FromStr>(label: &str, key: &str, raw: &str) -> Result<T, String> {
         raw.parse()
             .map_err(|_| format!("run '{label}': field '{key}' is not a number: {raw}"))
     }
     const COUNT_KEYS: [&str; 3] = ["analysis_errors", "analysis_warnings", "analysis_infos"];
+    const REQUIRED: [&str; 3] = ["wall_ms", "events_per_sec", "trace_digest"];
 
     let mut runs: Vec<ArtifactRun> = Vec::new();
-    // Per run, the finding counts seen so far; a run carries counts
-    // only if all three fields are present.
-    let mut counts: Vec<[Option<u64>; 3]> = Vec::new();
+    // Per run: the finding counts seen (a run carries counts only if
+    // all three are present) and which required fields appeared.
+    let mut seen: Vec<([Option<u64>; 3], [bool; 3])> = Vec::new();
+    // The enclosing sweep's `workers`, which precedes its runs.
+    let mut workers: Option<usize> = None;
     for line in json_text.lines() {
-        if let Some(raw) = field(line, "label") {
+        let Some((key, raw)) = line
+            .trim_start()
+            .strip_prefix('"')
+            .and_then(|l| l.split_once("\": "))
+        else {
+            continue;
+        };
+        let raw = raw.trim_end_matches(',');
+        let text = || raw.trim_matches('"').to_owned();
+        if key == "workers" {
+            let bad = |_| format!("sweep field 'workers' is not a number: {raw}");
+            workers = Some(raw.parse().map_err(bad)?);
+        } else if key == "label" {
             runs.push(ArtifactRun {
-                label: str_value(raw),
+                label: text(),
                 trace_digest: String::new(),
                 events_per_sec: 0.0,
                 wall_ms: 0.0,
                 analysis_counts: None,
                 scheduler: "rr".to_owned(),
+                shards: None,
+                engine_shards: 1,
+                workers,
             });
-            counts.push([None; 3]);
-        } else if let (Some(run), Some(seen)) = (runs.last_mut(), counts.last_mut()) {
-            if let Some(raw) = field(line, "trace_digest") {
-                run.trace_digest = str_value(raw);
-            } else if let Some(raw) = field(line, "events_per_sec") {
-                run.events_per_sec = number(&run.label, "events_per_sec", raw)?;
-            } else if let Some(raw) = field(line, "wall_ms") {
-                run.wall_ms = number(&run.label, "wall_ms", raw)?;
-            } else if let Some(raw) = field(line, "scheduler") {
-                run.scheduler = str_value(raw);
-            } else {
-                for (slot, key) in seen.iter_mut().zip(COUNT_KEYS) {
-                    if let Some(raw) = field(line, key) {
-                        *slot = Some(number(&run.label, key, raw)?);
+            seen.push(Default::default());
+        } else if let (Some(run), Some((counts, present))) = (runs.last_mut(), seen.last_mut()) {
+            if let Some(i) = REQUIRED.iter().position(|&k| k == key) {
+                present[i] = true;
+            }
+            match key {
+                "trace_digest" => run.trace_digest = text(),
+                "events_per_sec" => run.events_per_sec = number(&run.label, key, raw)?,
+                "wall_ms" => run.wall_ms = number(&run.label, key, raw)?,
+                "scheduler" => run.scheduler = text(),
+                "shards" => run.shards = Some(number(&run.label, key, raw)?),
+                "engine_shards" => run.engine_shards = number(&run.label, key, raw)?,
+                _ => {
+                    if let Some(i) = COUNT_KEYS.iter().position(|&k| k == key) {
+                        counts[i] = Some(number(&run.label, key, raw)?);
                     }
                 }
             }
         }
     }
-    for (run, seen) in runs.iter_mut().zip(counts) {
-        if let [Some(e), Some(w), Some(i)] = seen {
+    for (run, (counts, present)) in runs.iter_mut().zip(seen) {
+        if let Some(i) = present.iter().position(|p| !p) {
+            let (label, key) = (&run.label, REQUIRED[i]);
+            return Err(format!("run '{label}': required field '{key}' is missing"));
+        }
+        if let [Some(e), Some(w), Some(i)] = counts {
             run.analysis_counts = Some((e, w, i));
         }
     }
@@ -340,8 +379,10 @@ pub fn parse_artifact_runs(json_text: &str) -> Result<Vec<ArtifactRun>, String> 
 ///
 /// # Errors
 ///
-/// One message per problem: schema mismatch, a malformed numeric
-/// field, run present in only one artifact, or digest divergence.
+/// One message per problem: schema mismatch, a malformed or missing
+/// field, run present in only one artifact, a run recorded under a
+/// different scheduler or layout (`workers`, `shards`,
+/// `engine_shards`), or digest divergence.
 pub fn compare_artifacts(baseline: &str, candidate: &str) -> Result<String, Vec<String>> {
     let mut errors = Vec::new();
     if let Err(e) = check_artifact_schema(baseline, "baseline") {
@@ -402,6 +443,27 @@ pub fn compare_artifacts(baseline: &str, candidate: &str) -> Result<String, Vec<
                  the same --scheduler",
                 b.label, c.scheduler, b.scheduler
             ));
+            continue;
+        }
+        let layout_mismatch: Vec<String> = b
+            .layout()
+            .into_iter()
+            .zip(c.layout())
+            .filter(|(bl, cl)| bl != cl)
+            .map(|((key, bv), (_, cv))| {
+                format!(
+                    "run '{}' executed with {key} {cv} but the baseline ran with {bv} — \
+                     cross-layout comparison is meaningless; re-run both sides with the \
+                     same --{}",
+                    b.label,
+                    key.replace('_', "-")
+                )
+            })
+            .collect();
+        if !layout_mismatch.is_empty() {
+            // Wall-clock numbers depend on the run layout, so a delta
+            // across layouts measures the layout, not the code.
+            errors.extend(layout_mismatch);
             continue;
         }
         if b.trace_digest != c.trace_digest {
@@ -1209,6 +1271,93 @@ mod tests {
         let errs = compare_artifacts(&current, &corrupted).unwrap_err();
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].starts_with("candidate: run 'a'"), "{errs:?}");
+    }
+
+    #[test]
+    fn missing_required_fields_fail_loudly() {
+        let sweep = Sweep {
+            name: "gap".into(),
+            runs: vec![tiny_spec("a", 1, 600_000)],
+        };
+        let current = run_sweep(&sweep, 1).to_json();
+        let gappy: String = current
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("\"wall_ms\": "))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let err = parse_artifact_runs(&gappy).unwrap_err();
+        assert!(
+            err.contains("run 'a'") && err.contains("'wall_ms' is missing"),
+            "{err}"
+        );
+        let errs = compare_artifacts(&current, &gappy).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].starts_with("candidate: run 'a'"), "{errs:?}");
+    }
+
+    #[test]
+    fn committed_bench_baselines_parse_or_are_refused_by_schema() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            seen += 1;
+            let text = std::fs::read_to_string(&path).unwrap();
+            if check_artifact_schema(&text, &name).is_ok() {
+                let runs = parse_artifact_runs(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert!(!runs.is_empty(), "{name}");
+                assert!(runs.iter().all(|r| r.workers.is_some()), "{name}");
+            }
+        }
+        assert!(
+            seen > 0,
+            "no committed BENCH_*.json under {}",
+            dir.display()
+        );
+    }
+
+    #[test]
+    fn mismatched_run_layouts_are_refused() {
+        let sweep = Sweep {
+            name: "lay".into(),
+            runs: vec![tiny_spec("a", 1, 600_000)],
+        };
+        let baseline = run_sweep(&sweep, 1).to_json();
+        assert!(baseline.contains("\"shards\": 1"));
+        // Differ only in the monitor-shard count: refused, naming the
+        // run and both values.
+        let sharded = baseline.replace("\"shards\": 1", "\"shards\": 2");
+        let errs = compare_artifacts(&baseline, &sharded).unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(
+            errs[0].contains("run 'a'")
+                && errs[0].contains("shards 2")
+                && errs[0].contains("ran with 1"),
+            "{errs:?}"
+        );
+        let threaded = baseline.replace("\"engine_shards\": 1", "\"engine_shards\": 2");
+        let errs = compare_artifacts(&baseline, &threaded).unwrap_err();
+        assert!(errs[0].contains("engine_shards 2"), "{errs:?}");
+        let wider = baseline.replace("\"workers\": 1", "\"workers\": 2");
+        let errs = compare_artifacts(&wider, &baseline).unwrap_err();
+        assert!(
+            errs[0].contains("workers 1") && errs[0].contains("ran with 2"),
+            "{errs:?}"
+        );
+        // An artifact without engine_shards ran with 1 and stays
+        // comparable.
+        let legacy: String = baseline
+            .lines()
+            .filter(|l| !l.contains("\"engine_shards\""))
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert_eq!(parse_artifact_runs(&legacy).unwrap()[0].engine_shards, 1);
+        assert!(compare_artifacts(&legacy, &baseline).is_ok());
+        assert!(compare_artifacts(&legacy, &threaded).is_err());
     }
 
     #[test]

@@ -326,6 +326,52 @@ mod tests {
             }
         }
 
+        /// Arbitrary pattern streams — any of the 16 display patterns,
+        /// any length, cut off anywhere (including mid-event) — never
+        /// panic the detector, never yield more events than the
+        /// triggerwords could frame, and a watchdog reset always
+        /// resynchronizes it for the next clean event.
+        #[test]
+        fn arbitrary_streams_never_panic_and_resync_after_reset(
+            // Segments of random patterns mixed with whole encoded
+            // events, so some events do frame; the stream is then cut
+            // at an arbitrary point.
+            segments in proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    proptest::collection::vec(0u8..16, 0..40),
+                    any::<u16>(),
+                    any::<u32>(),
+                ),
+                0..12,
+            ),
+            cut in any::<usize>(),
+            token in any::<u16>(),
+            param in any::<u32>(),
+        ) {
+            let mut stream: Vec<Pattern> = Vec::new();
+            for (noise, indices, t, p) in segments {
+                if noise {
+                    stream.extend(indices.into_iter().map(|i| Pattern::new(i).unwrap()));
+                } else {
+                    stream.extend(encode(MonEvent::new(t, p)));
+                }
+            }
+            stream.truncate(cut % (stream.len() + 1));
+            let mut d = Decoder::new();
+            let decoded = d.feed_all(stream.iter().copied());
+            let triggers = stream.iter().filter(|p| p.is_trigger()).count() as u64;
+            prop_assert_eq!(decoded.len() as u64, d.stats().events);
+            prop_assert!(
+                d.stats().events <= triggers / PAIRS_PER_EVENT as u64,
+                "{} events from {} triggerwords", d.stats().events, triggers
+            );
+            d.reset();
+            prop_assert!(!d.in_progress());
+            let ev = MonEvent::new(token, param);
+            prop_assert_eq!(d.feed_all(encode(ev)), vec![ev]);
+        }
+
         /// A stream of many events interleaved with inter-pair noise
         /// decodes every event exactly once, in order.
         #[test]

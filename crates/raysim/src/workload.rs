@@ -30,11 +30,11 @@ pub struct RenderOutput {
 }
 
 /// The orderings guaranteed by message causality and the blocking
-/// mailbox protocol, as witnessed by the analyzer's scheduler model: a
-/// message is accepted only after its send began, so each job's
-/// instrumentation points are totally ordered across nodes. Jobs are
-/// matched globally by the job id in the event parameter — one job id
-/// exists once in the whole system.
+/// mailbox protocol, as witnessed by the analyzer's interleaving
+/// explorer: a message is accepted only after its send began, so each
+/// job's instrumentation points are totally ordered across nodes. Jobs
+/// are matched globally by the job id in the event parameter — one job
+/// id exists once in the whole system.
 pub fn proven_orders(app: &AppConfig) -> Vec<OrderEdge> {
     let mut orders = vec![
         OrderEdge::global(

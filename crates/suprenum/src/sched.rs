@@ -6,8 +6,8 @@
 //! consequence of that choice: the mailbox LWP must *win the CPU*
 //! before it can accept a message, and nothing ever takes the CPU away
 //! from the running process. The analyzer proves statically that the
-//! property collapses under preemption ([`AN-RACE-002`]/[`AN-RACE-004`]
-//! witnesses, the `sched` model counterexample); this module lets the
+//! property collapses under preemption (the race explorer's
+//! [`AN-RACE-002`]/[`AN-RACE-004`] witnesses); this module lets the
 //! simulator confirm those counterexamples *dynamically* by swapping
 //! the policy out from under the kernel.
 //!
@@ -27,7 +27,7 @@
 //! * [`PreemptiveScheduler`] — fixed priority (mailbox LWPs above user
 //!   LWPs) with a configurable quantum. A mailbox arrival seizes the
 //!   CPU from a computing user process, which is exactly the transition
-//!   the static `sched` model adds under its preemptive toggle.
+//!   the analyzer's race explorer adds under its preemptive toggle.
 //! * [`CfsScheduler`] — a CFS-style weighted-fair policy: ready LWPs
 //!   are picked by minimum virtual runtime with deterministic
 //!   tie-breaking, sleepers are clamped to the floor on wakeup, and
@@ -349,7 +349,7 @@ impl Scheduler for RoundRobinScheduler {
 /// Fixed-priority preemptive policy: mailbox LWPs outrank user LWPs,
 /// and a mailbox arrival seizes the CPU from a computing user process.
 ///
-/// This is precisely the scheduler the static `sched` model's
+/// This is precisely the scheduler the analyzer's race explorer's
 /// preemptive toggle describes — under it the kernel no longer keeps
 /// the sender blocked until the receiver's mailbox wins the CPU
 /// round-robin style, so the paper's effective-synchrony property
