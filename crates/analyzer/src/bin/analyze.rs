@@ -4,8 +4,8 @@
 //! analyze [v1|v2|v3|v4 ...] [options]
 //!
 //! options:
-//!   --deep             close the model state spaces (full budget)
-//!                      instead of the cheap pre-flight bound
+//!   --deep             explore under the full state budget instead
+//!                      of the cheap pre-flight bound
 //!   --fail-on LEVEL    exit nonzero when any diagnostic is at or
 //!                      above LEVEL (info|warning|error)
 //!   --strict           shorthand for --fail-on error
@@ -31,16 +31,17 @@
 //! ```
 //!
 //! `--json` reports also carry a `timings` array with per-layer wall
-//! time (token/protocol/rate/structural/model/race, milliseconds) for
-//! each analyzed version, so regressions in analysis cost are visible
-//! in CI artifacts.
+//! time (token/protocol/rate/structural/model/race, milliseconds) and
+//! the explorers' state counts (`flow_states`, `race_states`; exact,
+//! host-independent) for each analyzed version, so regressions in
+//! analysis cost are visible in CI artifacts.
 //!
 //! With no version arguments, analyzes all four.
 
 use std::process::ExitCode;
 
 use analyzer::{
-    reports_json_with_timings, sarif, version_verdict, ModelBudget, Report, Severity,
+    reports_json_with_timings, sarif, version_verdict, LayerMetric, ModelBudget, Report, Severity,
     SubjectTimings,
 };
 use raysim::config::{AppConfig, Version};
@@ -132,7 +133,7 @@ fn main() -> ExitCode {
         print!("{}", report.render());
         println!();
         worst = worst.max(report.max_severity());
-        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+        let ms = |d: std::time::Duration| LayerMetric::Ms(d.as_secs_f64() * 1e3);
         timings.push((
             report.subject.clone(),
             vec![
@@ -142,6 +143,8 @@ fn main() -> ExitCode {
                 ("structural_ms", ms(layers.structural)),
                 ("model_ms", ms(layers.model)),
                 ("race_ms", ms(layers.race)),
+                ("flow_states", LayerMetric::Count(layers.flow_states)),
+                ("race_states", LayerMetric::Count(layers.race_states)),
             ],
         ));
         reports.push(report);

@@ -90,7 +90,9 @@ pub use race::{
     witness_is_concurrent, RaceModel, RaceVerdict, RaceWitness,
 };
 pub use rate::{analyze_rate, predict, RatePrediction};
-pub use render::{report_json, reports_json, reports_json_with_timings, sarif, SubjectTimings};
+pub use render::{
+    report_json, reports_json, reports_json_with_timings, sarif, LayerMetric, SubjectTimings,
+};
 pub use structural::{
     analyze_structural, check_structural, DeadlockVerdict, PInvariant, PetriNet, ProtocolNet,
     StructuralVerdict,

@@ -11,6 +11,15 @@
 //!   *inevitable* deadlock, differentially tested against the
 //!   simulator).
 //!
+//! The checks are tiered behind the budget-free structural layer
+//! ([`crate::structural`]): when its certificates prove a shape
+//! deadlock-free, credit- and queue-conserving and free of window
+//! collapse, the flow claims are read off the certificates and the
+//! flow model is not explored at all. It runs for what the
+//! certificates leave open: the window-collapse witness path, and
+//! strict write-back shapes whose deadlock verdict is `Starved` or
+//! `Unknown`.
+//!
 //! The effective-synchrony theorem (`AN-MODEL-004`) is read off the
 //! round-robin verdict of the interleaving explorer in [`crate::race`],
 //! which checks SYNC-1 and SYNC-2 at every mailbox accept; under its
@@ -31,7 +40,7 @@ use std::time::{Duration, Instant};
 use raysim::config::AppConfig;
 
 use crate::diag::{Diagnostic, Location, Report};
-use crate::structural::DeadlockVerdict;
+use crate::structural::{DeadlockVerdict, StructuralVerdict};
 use exact::ExactModel;
 use flow::FlowModel;
 
@@ -105,8 +114,9 @@ pub fn proven_orders(app: &AppConfig) -> Vec<ProvenOrder> {
     raysim::workload::proven_orders(app)
 }
 
-/// Wall time spent in each model-checking phase of [`check_app_timed`],
-/// for the per-layer cost breakdown `analyze --json` publishes.
+/// Wall time and deterministic work counters for each model-checking
+/// phase of [`check_app_timed`], for the per-layer cost breakdown
+/// `analyze --json` publishes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ModelTimings {
     /// The structural (place/transition-net) layer.
@@ -115,6 +125,12 @@ pub struct ModelTimings {
     pub model: Duration,
     /// The DPOR interleaving explorer (races and effective synchrony).
     pub race: Duration,
+    /// States the flow explorer visited: `0` when the structural
+    /// certificates closed the shape and the exploration was skipped.
+    pub flow_states: usize,
+    /// States the interleaving explorer visited for the round-robin
+    /// verdict (the cached count when the shape was explored earlier).
+    pub race_states: usize,
 }
 
 /// One exhaustive layer that hit its state budget: which universal
@@ -125,42 +141,37 @@ struct BoundedLayer {
     closed: Vec<String>,
 }
 
-/// Model-checks an application configuration and folds the verdicts
-/// into diagnostics.
-///
-/// The **structural layer runs first** (`AN-STRUCT-*`): its
-/// P-invariant and siphon proofs hold for any shape size, so when an
-/// exhaustive exploration below stops at its state budget, the
-/// properties the structural layer already proved are reported closed
-/// instead of partial. Then emits `AN-MODEL-001` (deadlock
-/// reachability), `AN-MODEL-002` (window collapse), `AN-MODEL-003`
-/// (credit conservation), `AN-MODEL-004` (effective synchrony) and
-/// `AN-MODEL-005` (budget-bounded exploration, naming the specific
-/// properties left partial). Proven properties are reported as `info`
-/// diagnostics so a report stays clean for healthy configurations;
-/// violated ones are errors carrying a counterexample path.
-pub fn check_app(app: &AppConfig, budget: &ModelBudget) -> Report {
-    check_app_timed(app, budget).0
+const DEADLOCK_FREE_STRUCTURALLY: &str =
+    "deadlock-free: proven structurally for any shape size (siphon/trap analysis, AN-STRUCT-002)";
+
+fn full_concurrency_structurally(intended: u64) -> String {
+    format!(
+        "full window concurrency is reachable: proven structurally — the queue invariant \
+         bounds concurrency at min(credits, capacity) = {intended} and the monotone send \
+         sequence attains it (AN-STRUCT-004)"
+    )
 }
 
-/// [`check_app`] plus the per-phase wall-time breakdown.
-pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelTimings) {
-    let mut report = Report::new(format!("{} protocol model", app.version));
-    let mut timings = ModelTimings::default();
-    let mut bounded_layers: Vec<BoundedLayer> = Vec::new();
+fn conserved_structurally(credits: u64) -> String {
+    format!(
+        "credit conservation proven: the P-invariant certificate (AN-STRUCT-001) bounds \
+         outstanding jobs at {credits} credits in every reachable state, for any budget"
+    )
+}
 
-    // --- Structural layer: certificates that do not depend on any
-    // state budget. Runs first so the bounded layers below can skip
-    // (report as closed) the properties it already proved.
-    let phase = Instant::now();
-    let st = crate::structural::analyze_structural(app);
-    report.merge(crate::structural::structural_findings(app, &st));
-    timings.structural = phase.elapsed();
+/// Explores the flow model for a shape the structural certificates do
+/// not close and emits `AN-MODEL-001/002/003` from the enumeration
+/// (claims the certificates did prove stay proven when the exploration
+/// stops at its budget). Returns the number of states visited.
+fn check_flow(
+    app: &AppConfig,
+    st: &StructuralVerdict,
+    budget: &ModelBudget,
+    report: &mut Report,
+    bounded_layers: &mut Vec<BoundedLayer>,
+) -> usize {
     let structurally_deadlock_free = st.deadlock == DeadlockVerdict::Free;
     let has_certificates = st.conservation.is_some() && st.queue_bound.is_some();
-
-    let phase = Instant::now();
-    // --- Flow model: deadlock, window collapse, credit conservation.
     let flow = FlowModel::from_protocol(
         u32::from(app.servants),
         app.window,
@@ -226,8 +237,7 @@ pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelT
             Diagnostic::info(
                 "AN-MODEL-001",
                 format!(
-                    "deadlock-free: proven structurally for any shape size (siphon/trap \
-                     analysis, AN-STRUCT-002); the bounded exploration of {} states found \
+                    "{DEADLOCK_FREE_STRUCTURALLY}; the bounded exploration of {} states found \
                      no counterexample either",
                     fv.states
                 ),
@@ -276,10 +286,8 @@ pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelT
         report.push(Diagnostic::info(
             "AN-MODEL-002",
             format!(
-                "full window concurrency is reachable: proven structurally — the queue \
-                 invariant bounds concurrency at min(credits, capacity) = {intended} and \
-                 the monotone send sequence attains it (AN-STRUCT-004); the bounded \
-                 exploration reached {} of {intended}",
+                "{}; the bounded exploration reached {} of {intended}",
+                full_concurrency_structurally(intended),
                 fv.max_outstanding
             ),
         ));
@@ -312,12 +320,71 @@ pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelT
         report.push(Diagnostic::info(
             "AN-MODEL-003",
             format!(
-                "credit conservation proven: the P-invariant certificate (AN-STRUCT-001) \
-                 bounds outstanding jobs at {} credits in every reachable state, for any \
-                 budget; the bounded exploration of {} states agreed",
-                flow.credits, fv.states
+                "{}; the bounded exploration of {} states agreed",
+                conserved_structurally(u64::from(flow.credits)),
+                fv.states
             ),
         ));
+    }
+    fv.states
+}
+
+/// Model-checks an application configuration and folds the verdicts
+/// into diagnostics.
+///
+/// The analysis is **tiered**. The structural layer runs first
+/// (`AN-STRUCT-*`); its P-invariant and siphon proofs hold for any
+/// shape size. When they certify the shape — deadlock-free, credit
+/// and queue conservation, no window collapse — `AN-MODEL-001/002/003`
+/// are emitted from the certificates and the flow exploration is
+/// skipped. Otherwise (a window collapse, whose witness path only the
+/// exploration supplies, or a `Starved`/`Unknown` deadlock verdict) the
+/// flow model is explored, and when it stops at its state budget the
+/// properties the structural layer proved are reported closed instead
+/// of partial. The rule is the same at every budget.
+///
+/// Emits `AN-MODEL-001` (deadlock reachability), `AN-MODEL-002`
+/// (window collapse), `AN-MODEL-003` (credit conservation),
+/// `AN-MODEL-004` (effective synchrony) and `AN-MODEL-005`
+/// (budget-bounded exploration, naming the specific properties left
+/// partial). Proven properties are reported as `info` diagnostics so a
+/// report stays clean for healthy configurations; violated ones are
+/// errors carrying a counterexample path.
+pub fn check_app(app: &AppConfig, budget: &ModelBudget) -> Report {
+    check_app_timed(app, budget).0
+}
+
+/// [`check_app`] plus the per-phase wall-time and state-count
+/// breakdown.
+pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelTimings) {
+    let mut report = Report::new(format!("{} protocol model", app.version));
+    let mut timings = ModelTimings::default();
+    let mut bounded_layers: Vec<BoundedLayer> = Vec::new();
+
+    // --- Structural layer: certificates that do not depend on any
+    // state budget. Runs first so the explicit-state layers below run
+    // only for what it leaves open.
+    let phase = Instant::now();
+    let st = crate::structural::analyze_structural(app);
+    report.merge(crate::structural::structural_findings(app, &st));
+    timings.structural = phase.elapsed();
+
+    let phase = Instant::now();
+    if st.certified() {
+        report.push(
+            Diagnostic::info("AN-MODEL-001", DEADLOCK_FREE_STRUCTURALLY)
+                .locate(Location::Model { path: Vec::new() }),
+        );
+        report.push(Diagnostic::info(
+            "AN-MODEL-002",
+            full_concurrency_structurally(st.intended_concurrency),
+        ));
+        report.push(Diagnostic::info(
+            "AN-MODEL-003",
+            conserved_structurally(st.net.credits),
+        ));
+    } else {
+        timings.flow_states = check_flow(app, &st, budget, &mut report, &mut bounded_layers);
     }
 
     // --- Exact model, for configurations small enough to close.
@@ -334,7 +401,7 @@ pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelT
         if ev.bounded {
             let mut partial = vec!["the possible-vs-inevitable deadlock classification".to_owned()];
             let mut closed = Vec::new();
-            if structurally_deadlock_free {
+            if st.deadlock == DeadlockVerdict::Free {
                 closed.push("deadlock freedom (AN-STRUCT-002)".to_owned());
             } else {
                 partial.insert(0, "deadlock freedom".to_owned());
@@ -396,6 +463,7 @@ pub fn check_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, ModelT
     let rv = crate::race::version_verdict(app, budget, false);
     let races = crate::race::version_report(app, &rv, false);
     timings.race = phase.elapsed();
+    timings.race_states = rv.states;
 
     if rv.bounded {
         bounded_layers.push(BoundedLayer {
@@ -488,20 +556,61 @@ mod tests {
 
     #[test]
     fn v3_is_flagged_statically_with_a_counterexample() {
-        let report = check_app(&AppConfig::version(Version::V3), &ModelBudget::full());
-        assert!(report.has_errors());
-        let collapse = report
+        // The certificates prove the collapse, but only the flow
+        // exploration yields the witness path, at every budget.
+        for budget in [ModelBudget::preflight(), ModelBudget::full()] {
+            let (report, timings) = check_app_timed(&AppConfig::version(Version::V3), &budget);
+            assert!(report.has_errors());
+            assert_eq!(timings.flow_states, 343);
+            assert!(!report.contains("AN-MODEL-005"), "{}", report.render());
+            let collapse = report
+                .findings
+                .iter()
+                .find(|f| f.code == "AN-MODEL-002")
+                .expect("V3 must collapse");
+            assert!(collapse.notes.iter().any(|n| n.contains("15 outstanding")));
+            assert!(matches!(&collapse.location, Location::Model { path } if !path.is_empty()));
+            // The witness path is a reproducible counterexample.
+            assert!(collapse
+                .notes
+                .iter()
+                .any(|n| n.contains("witness path to the concurrency ceiling:")));
+        }
+    }
+
+    #[test]
+    fn starved_strict_write_back_still_gets_the_flow_counterexample() {
+        // Strict write-back whose chunk exceeds the queue: the siphon
+        // analysis says `Starved`, so the flow explorer must still run
+        // and supply the deadlock path. Two servants keep the window
+        // (6 credits) under the 8-bundle queue, so the deadlock verdict
+        // is the only claim the certificates leave open.
+        let mut app = AppConfig::version(Version::V4);
+        app.servants = 2;
+        app.pixel_queue_capacity = 8 * app.bundle_size;
+        app.write_chunk = 9 * app.bundle_size;
+        app.eager_writeback = false;
+        let st = crate::structural::analyze_structural(&app);
+        assert!(matches!(st.deadlock, DeadlockVerdict::Starved { .. }));
+        assert!(!st.window_collapse);
+        assert!(!st.certified());
+        let (report, timings) = check_app_timed(&app, &ModelBudget::preflight());
+        assert!(timings.flow_states > 0);
+        let deadlock = report
             .findings
             .iter()
-            .find(|f| f.code == "AN-MODEL-002")
-            .expect("V3 must collapse");
-        assert!(collapse.notes.iter().any(|n| n.contains("15 outstanding")));
-        assert!(matches!(collapse.location, Location::Model { .. }));
-        // The witness path is a reproducible counterexample.
-        assert!(collapse
-            .notes
-            .iter()
-            .any(|n| n.contains("witness path to the concurrency ceiling:")));
+            .find(|f| f.code == "AN-MODEL-001")
+            .expect("the starved shape must deadlock");
+        assert_eq!(deadlock.severity, crate::diag::Severity::Error);
+        assert!(
+            deadlock
+                .notes
+                .iter()
+                .any(|n| n == "counterexample (one transition per line):"),
+            "{}",
+            report.render()
+        );
+        assert!(matches!(&deadlock.location, Location::Model { path } if !path.is_empty()));
     }
 
     #[test]

@@ -10,12 +10,18 @@
 //! harness's default without recompiling (see
 //! [`pipeline::PolicyMode::from_env`]).
 //!
-//! Analysis comes in two depths: the default entry points use
+//! The model layers are tiered the same way at every budget: the
+//! structural certificates run first, and the flow explorer runs only
+//! on shapes they leave open (a window collapse, whose witness path it
+//! supplies, or a strict write-back the siphon analysis cannot clear) —
+//! see [`check_app`](crate::model::check_app). The budget bounds what
+//! still gets explored: the default entry points use
 //! [`ModelBudget::preflight`] (cheap enough to run before every sweep
-//! run; bounded explorations report `AN-MODEL-005` instead of universal
-//! claims), while the `*_with` variants accept an explicit budget —
-//! the `analyze` CLI and the CI gate pass [`ModelBudget::full`], which
-//! closes every stock V1–V4 state space.
+//! run; a bounded exploration reports `AN-MODEL-005` for the claims
+//! nothing else closed), while the `*_with` variants accept an explicit
+//! budget — the `analyze` CLI's `--deep` and the CI gate pass
+//! [`ModelBudget::full`], which closes every exploration the stock
+//! V1–V4 shapes still need.
 
 use std::time::{Duration, Instant};
 
@@ -28,8 +34,9 @@ use crate::protocol::analyze_protocol;
 use crate::rate::analyze_rate;
 use crate::token_lints::{lint_pair, lint_stock_maps, TokenMap};
 
-/// Wall time spent in each analysis layer, published by `analyze
-/// --json` so analyzer cost regressions show up in CI artifacts.
+/// Wall time spent in each analysis layer, plus the explorers'
+/// deterministic state counts, published by `analyze --json` so
+/// analyzer cost regressions show up in CI artifacts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LayerTimings {
     /// Token-map lints (`AN-TOKEN-*`).
@@ -40,10 +47,15 @@ pub struct LayerTimings {
     pub rate: Duration,
     /// Structural place/transition-net layer (`AN-STRUCT-*`).
     pub structural: Duration,
-    /// Exhaustive flow/exact/sched explorations (`AN-MODEL-*`).
+    /// Exhaustive flow/exact explorations (`AN-MODEL-*`).
     pub model: Duration,
     /// DPOR race explorer (`AN-RACE-*`).
     pub race: Duration,
+    /// States the flow explorer visited (`0` when the structural
+    /// certificates closed the shape).
+    pub flow_states: usize,
+    /// States the race explorer visited for the round-robin verdict.
+    pub race_states: usize,
 }
 
 /// Analyzes everything knowable from the application configuration
@@ -64,6 +76,8 @@ pub fn analyze_app_timed(app: &AppConfig, budget: &ModelBudget) -> (Report, Laye
     timings.structural = model_timings.structural;
     timings.model = model_timings.model;
     timings.race = model_timings.race;
+    timings.flow_states = model_timings.flow_states;
+    timings.race_states = model_timings.race_states;
     (report, timings)
 }
 

@@ -145,12 +145,21 @@ pub fn reports_json(reports: &[Report]) -> String {
     reports_json_with_timings(reports, &[])
 }
 
+/// One value in a subject's `timings` entry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LayerMetric {
+    /// A wall time in milliseconds, rendered with three decimals.
+    Ms(f64),
+    /// A deterministic work counter (states explored), rendered exactly.
+    Count(usize),
+}
+
 /// Per-subject analysis cost entry for the `analyze --json` artifact:
-/// the subject string plus `(layer key, milliseconds)` pairs, rendered
-/// as a top-level `timings` array. Wall times vary run to run, so the
-/// golden snapshots use [`reports_json`] (no `timings` key) and the CLI
-/// adds this block only to its written artifacts.
-pub type SubjectTimings = (String, Vec<(&'static str, f64)>);
+/// the subject string plus `(key, value)` pairs, rendered as a
+/// top-level `timings` array. Wall times vary run to run, so the golden
+/// snapshots use [`reports_json`] (no `timings` key) and the CLI adds
+/// this block only to its written artifacts.
+pub type SubjectTimings = (String, Vec<(&'static str, LayerMetric)>);
 
 /// [`reports_json`] plus a `timings` array reporting per-layer analysis
 /// wall time for each subject. An empty `timings` slice renders the
@@ -171,7 +180,10 @@ pub fn reports_json_with_timings(reports: &[Report], timings: &[SubjectTimings])
                 let _ = writeln!(o, "      \"subject\": \"{}\",", escape(subject));
                 let fields: Vec<String> = layers
                     .iter()
-                    .map(|(key, ms)| format!("      \"{key}\": {ms:.3}"))
+                    .map(|(key, value)| match value {
+                        LayerMetric::Ms(ms) => format!("      \"{key}\": {ms:.3}"),
+                        LayerMetric::Count(n) => format!("      \"{key}\": {n}"),
+                    })
                     .collect();
                 let _ = writeln!(o, "{}", fields.join(",\n"));
                 let _ = write!(o, "    }}");
@@ -347,12 +359,17 @@ mod tests {
             &reports,
             &[(
                 "version 3".to_owned(),
-                vec![("token_ms", 0.25), ("model_ms", 12.5)],
+                vec![
+                    ("token_ms", LayerMetric::Ms(0.25)),
+                    ("model_ms", LayerMetric::Ms(12.5)),
+                    ("flow_states", LayerMetric::Count(343)),
+                ],
             )],
         );
         assert!(timed.contains("\"timings\": ["));
         assert!(timed.contains("\"token_ms\": 0.250"));
         assert!(timed.contains("\"model_ms\": 12.500"));
+        assert!(timed.contains("\"flow_states\": 343\n"));
         // The reports array itself is unchanged by the timings block.
         assert!(timed.starts_with(bare.trim_end_matches("\n}\n")));
     }

@@ -4,11 +4,16 @@
 //!
 //! The exhaustive layers ([`crate::model::flow`], [`crate::model::exact`],
 //! [`crate::race`]) prove the paper's protocol properties by
-//! enumerating states, so every universal claim degrades to a partial
-//! one (AN-MODEL-005) once a shape outgrows the state budget — exactly
-//! where the scaling ladder is heading. This module proves the same
-//! properties *algebraically*, in polynomial time, from the protocol
-//! structure alone:
+//! enumerating states, so their cost grows with the shape and their
+//! claims stop at the state budget — exactly where the scaling ladder
+//! is heading. This module proves the same properties
+//! *algebraically*, in polynomial time, from the protocol structure
+//! alone. It is the first tier of [`crate::model::check_app`]: a shape
+//! these certificates close (deadlock-free, both conservation laws, no
+//! window collapse) is never handed to the flow explorer, and on the
+//! shapes that are, a bounded exploration still reports the
+//! certificates' claims as closed rather than partial (AN-MODEL-005).
+//! The proofs take four steps:
 //!
 //! 1. The window protocol (the same constants [`FlowModel::from_protocol`]
 //!    consumes) is compiled into a **place/transition net**: window
@@ -482,6 +487,20 @@ pub struct StructuralVerdict {
     /// every siphon markable at full window concurrency and the write
     /// threshold reachable: `bundle × max(credits, chunk_b)`.
     pub min_capacity: u64,
+}
+
+impl StructuralVerdict {
+    /// Do the certificates close every claim the flow explorer checks?
+    /// Deadlock freedom (`Free`, which the siphon analysis returns only
+    /// under eager write-back, where completion is reachable too), both
+    /// conservation certificates, and full window concurrency. A
+    /// certified shape is never explored by the flow model.
+    pub fn certified(&self) -> bool {
+        self.deadlock == DeadlockVerdict::Free
+            && self.conservation.is_some()
+            && self.queue_bound.is_some()
+            && !self.window_collapse
+    }
 }
 
 /// Runs the full structural analysis on one application shape.

@@ -2,8 +2,9 @@
 //! formats.
 //!
 //! The JSON and SARIF renderings of each stock version's full analysis
-//! (pre-flight model budget — deterministic, closed for V3/V4, bounded
-//! at a fixed state count for V1/V2) are pinned under `tests/golden/`.
+//! (pre-flight model budget — deterministic: V1/V2/V4 are closed by the
+//! structural certificates, V3's flow exploration closes) are pinned
+//! under `tests/golden/`.
 //! Any change to diagnostics — new findings, changed codes, reworded
 //! messages, different state counts — shows up as a reviewable golden
 //! diff instead of a silent output drift.

@@ -5,15 +5,16 @@
 //! shape size. These tests pin them against the exhaustive layers on
 //! configurations small enough to close both ways: whatever the flow
 //! and exact explorers observe by enumeration, the structural
-//! certificates must predict. And on a shape too large for the flow
-//! explorer's pre-flight budget, the structural layer must still
-//! deliver full proofs — that scaling gap is the layer's reason to
-//! exist.
+//! certificates must predict — in particular on every shape the
+//! certificates close, which the analyzer never hands to the flow
+//! explorer. And on a shape too large for the flow explorer's
+//! pre-flight budget, the structural layer must still deliver full
+//! proofs — that scaling gap is the layer's reason to exist.
 
 use analyzer::model::exact::ExactModel;
 use analyzer::model::flow::FlowModel;
 use analyzer::structural::{analyze_protocol_net, DeadlockVerdict, ProtocolNet};
-use analyzer::{analyze_structural, check_app, ModelBudget};
+use analyzer::{analyze_structural, check_app_timed, ModelBudget};
 use proptest::prelude::*;
 use raysim::config::{AppConfig, Version};
 
@@ -141,24 +142,14 @@ fn ladder_shape_past_the_flow_budget_is_fully_proven_structurally() {
     );
     assert_eq!(st.min_capacity, 189 * 32);
 
-    // And the layered report reflects the closure: the budget note
-    // (AN-MODEL-005) names what stays partial and credits the
-    // structural layer with what it closed, while deadlock freedom and
-    // conservation are reported as proven rather than merely unrefuted.
-    let report = check_app(&app, &budget);
-    let budget_note = report
-        .findings
-        .iter()
-        .find(|f| f.code == "AN-MODEL-005")
-        .expect("bounded exploration must surface AN-MODEL-005");
-    assert!(
-        budget_note
-            .notes
-            .iter()
-            .any(|n| n.contains("closed structurally")),
-        "{}",
-        report.render()
-    );
+    // And the tiered report needs no exploration at all: the
+    // certificates close the shape, so nothing is left partial (no
+    // AN-MODEL-005), deadlock freedom is reported as proven
+    // structurally, and the flow explorer never ran.
+    assert!(st.certified());
+    let (report, timings) = check_app_timed(&app, &budget);
+    assert!(!report.contains("AN-MODEL-005"), "{}", report.render());
+    assert_eq!(timings.flow_states, 0);
     assert!(
         report
             .findings
@@ -243,5 +234,16 @@ proptest! {
             .explore(1_000_000);
         prop_assert!(!flow.bounded);
         prop_assert_eq!(u64::from(flow.max_outstanding), st.peak_concurrency);
+
+        // The analyzer skips the flow exploration on certified shapes,
+        // so the closed exploration must confirm every claim the
+        // report reads off the certificates instead.
+        if st.certified() {
+            prop_assert!(flow.deadlock.is_none(), "certified, yet {:?}", flow.deadlock);
+            prop_assert!(flow.credits_conserved);
+            prop_assert!(flow.capacity_respected);
+            prop_assert!(flow.completion_reachable);
+            prop_assert_eq!(u64::from(flow.max_outstanding), st.intended_concurrency);
+        }
     }
 }

@@ -528,6 +528,33 @@ mod tests {
     }
 
     #[test]
+    fn preflight_skips_the_flow_exploration_on_certified_ray_shapes() {
+        // Every paper-scale ray-tracer rung but V3 is closed by the
+        // structural certificates: no flow states, no budget note. V3's
+        // collapse witness is the one flow exploration left.
+        let budget = analyzer::ModelBudget::preflight();
+        let runs = fig10(Scale::Paper, 1992)
+            .runs
+            .into_iter()
+            .chain(scaling(Scale::Paper, 1992).runs);
+        let mut checked = 0;
+        for run in runs {
+            let Some(app) = run.app else { continue };
+            let (report, timings) = analyzer::check_app_timed(&app, &budget);
+            let want = if run.label == "V3" { 343 } else { 0 };
+            assert_eq!(timings.flow_states, want, "{}", run.label);
+            assert!(
+                !report.contains("AN-MODEL-005"),
+                "{}: {}",
+                run.label,
+                report.render()
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 10, "V1-V4 plus the six ray-n rungs");
+    }
+
+    #[test]
     fn jacobi_sweep_walks_the_worker_ladder() {
         let sweep = jacobi(Scale::Quick, 1992);
         let labels: Vec<&str> = sweep.runs.iter().map(|r| r.label.as_str()).collect();
