@@ -727,6 +727,34 @@ pub fn structural_findings(app: &AppConfig, v: &StructuralVerdict) -> Report {
                 v.min_capacity, app.pixel_queue_capacity
             )),
         );
+    } else if u64::from(app.pixel_queue_capacity) < v.min_capacity {
+        // The window fits, but the write chunk sets the minimum: the
+        // queue can never hold a full chunk.
+        report.push(
+            Finding::info(
+                "AN-STRUCT-004",
+                format!(
+                    "full window concurrency ({} bundle jobs) stays reachable, but {} pixels \
+                     is below the synthesized minimum {}: the {}-bundle write chunk exceeds \
+                     the {}-bundle queue bound",
+                    v.peak_concurrency,
+                    app.pixel_queue_capacity,
+                    v.min_capacity,
+                    v.net.chunk_b,
+                    v.net.capacity_b
+                ),
+            )
+            .note(if v.net.eager {
+                "eager write-back flushes partial chunks, so the unreachable threshold \
+                 cannot wedge the run (AN-STRUCT-002)"
+            } else {
+                "under strict write-back the threshold is never reached (AN-STRUCT-003)"
+            })
+            .help(format!(
+                "a pixel_queue_capacity of at least {} pixels lets a full chunk accumulate",
+                v.min_capacity
+            )),
+        );
     } else {
         report.push(
             Finding::info(
@@ -825,6 +853,34 @@ mod tests {
         // The same shape with eager write-back is fine.
         let eager = analyze_protocol_net(ProtocolNet::from_protocol(2, 1, 1, 2, 3, true));
         assert_eq!(eager.deadlock, DeadlockVerdict::Free);
+    }
+
+    #[test]
+    fn chunk_bound_capacity_is_not_reported_sufficient() {
+        // Strict V4 whose chunk outgrows the queue: the window still fits
+        // (45 ≤ 163 bundles), but the 165-bundle chunk sets the minimum.
+        let mut app = AppConfig::version(Version::V4);
+        app.eager_writeback = false;
+        app.write_chunk = 16_484;
+        let v = analyze_structural(&app);
+        assert!(!v.window_collapse);
+        assert_eq!(v.min_capacity, 16_500);
+        assert!(u64::from(app.pixel_queue_capacity) < v.min_capacity);
+        let report = check_structural(&app);
+        let f = report
+            .findings
+            .iter()
+            .find(|f| f.code == "AN-STRUCT-004")
+            .expect("capacity finding");
+        assert!(!f.message.contains("sufficient"), "{}", f.message);
+        assert!(!f.message.contains("covers"), "{}", f.message);
+        assert!(
+            f.message.contains("below the synthesized minimum 16500"),
+            "{}",
+            f.message
+        );
+        // The starved strict shape keeps its AN-STRUCT-003 error.
+        assert!(report.has_errors());
     }
 
     #[test]

@@ -467,25 +467,13 @@ pub fn clock_sync_ablation(seed: u64) -> (ClockSyncRow, ClockSyncRow) {
     app.bundle_size = 8;
     app.pixel_queue_capacity = 128;
     app.write_chunk = 12;
-    let mut cfg = experiment_cfg(app, seed);
-    cfg.zm4.streams_per_recorder = 1;
-    let result = run_completed(cfg);
 
-    let samples: Vec<ProbeSample> = result
-        .machine
-        .signals()
-        .display_writes()
-        .iter()
-        .map(|w| ProbeSample {
-            time: w.time,
-            channel: w.node.index() as usize,
-            pattern: w.pattern,
-        })
-        .collect();
-    let channels = result.machine.topology().total_nodes() as usize;
-
+    // The two arms are two runs of the same machine that differ only in
+    // the monitor's clocks: the simulation is deterministic, so both
+    // monitors observe the same signals.
     let observe = |synchronized: bool| -> ClockSyncRow {
-        let zcfg = Zm4Config {
+        let mut cfg = experiment_cfg(app.clone(), seed);
+        cfg.zm4 = Zm4Config {
             streams_per_recorder: 1,
             mtg_synchronized: synchronized,
             // Free-running quartz oscillators drift tens of milliseconds
@@ -495,20 +483,9 @@ pub fn clock_sync_ablation(seed: u64) -> (ClockSyncRow, ClockSyncRow) {
             skew_max_drift_ppm: 100.0,
             ..Zm4Config::default()
         };
-        let m = Zm4::new(zcfg, channels, seed).observe(&samples);
-        let trace: Trace = m
-            .trace
-            .iter()
-            .map(|r| {
-                simple::Event::new(
-                    r.ts_ns,
-                    r.channel,
-                    r.event.token.value(),
-                    r.event.param.value(),
-                )
-            })
-            .collect();
-        let causality = check_causality(&trace, &raysim::analysis::causality_rules());
+        let result = run_completed(cfg);
+        let m = &result.measurement;
+        let causality = check_causality(&result.trace, &raysim::analysis::causality_rules());
         ClockSyncRow {
             mtg_synchronized: synchronized,
             events: m.trace.len(),

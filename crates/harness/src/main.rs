@@ -20,8 +20,8 @@
 //! overlapped with the kernel. `--engine-shards K` packs a multi-cluster
 //! machine's per-cluster engine shards onto `K` worker threads
 //! (single-cluster shapes ignore it). Both are behaviourally invisible —
-//! trace digests stay bit-identical to the sequential oracle for any
-//! `K` — so the flags only change wall-clock numbers.
+//! trace digests stay bit-identical to the one-shard, one-thread run for
+//! any `K` — so the flags only change wall-clock numbers.
 //!
 //! `--scheduler SPEC` overrides the kernel scheduling policy on every
 //! run: `rr` (cooperative round-robin, the default), `preempt[:us]`
@@ -90,9 +90,10 @@ const USAGE: &str = "usage:
 truncates the runs; the sweep then exits 2 and marks each record).
 
 --shards runs each job's monitor plane on K observer shards overlapped
-with the kernel; --engine-shards packs a multi-cluster machine's
-per-cluster engine shards onto K worker threads. Both keep digests
-bit-identical to the sequential oracle.
+with the kernel (1 = one in-thread observer); --engine-shards packs a
+multi-cluster machine's per-cluster engine shards onto K worker
+threads. Both keep digests bit-identical to the one-shard, one-thread
+run.
 
 --scheduler overrides the kernel scheduling policy on every run:
 rr | preempt[:quantum_us] | cfs[:quantum_us] | fuzz[:base[:seed]].

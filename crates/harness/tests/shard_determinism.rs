@@ -4,8 +4,8 @@
 //! For every stock workload shape — the four ray-tracer versions, the
 //! SPMD Jacobi solver, and a two-cluster Jacobi shape that exercises
 //! the parallel per-cluster engine — the per-run trace digest must be
-//! bit-identical whether the ZM4 observers run inline with the kernel
-//! (one shard, the sequential oracle) or split across N shards
+//! bit-identical whether the ZM4 observer runs in the kernel's thread
+//! (one shard, the reference) or split across N shards
 //! overlapped with it, whether the engine shards run on the calling
 //! thread or on K worker threads, and regardless of how many harness
 //! worker threads host the runs. A digest divergence here means the
@@ -111,8 +111,8 @@ fn all_stock_shapes_digest_identically_across_shard_counts() {
 }
 
 /// Directed: on a multi-cluster shape every engine worker-thread count
-/// reproduces the sequential oracle bit for bit, alone and composed
-/// with monitor shards.
+/// reproduces the one-thread, one-shard run bit for bit, alone and
+/// composed with monitor shards.
 #[test]
 fn engine_thread_packing_never_changes_multi_cluster_digests() {
     let oracle = execute(&spec(5, 1));

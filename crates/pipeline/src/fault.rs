@@ -4,7 +4,7 @@
 //! perfect; the scheduling-fuzz studies need the opposite assumption —
 //! probes that drop writes, corrupt patterns, and recorders whose
 //! clocks drift. [`FaultConfig`] injects exactly those failures into
-//! the probe-sample stream *between* the machine's signal log and the
+//! the probe-sample stream *between* the machine's displays and the
 //! ZM4, so the simulated machine itself stays untouched and
 //! bit-identical.
 //!

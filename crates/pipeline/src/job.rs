@@ -199,7 +199,7 @@ impl Job {
 
     /// Sets the monitor-shard count for every subsequent execution (the
     /// CLI's `--shards`). Sharding is behaviourally invisible: traces,
-    /// outcomes and digests stay bit-identical to the sequential oracle.
+    /// outcomes and digests stay bit-identical to the one-shard run.
     pub fn override_shards(&mut self, shards: usize) {
         self.shards = Some(shards);
     }

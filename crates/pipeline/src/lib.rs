@@ -13,8 +13,9 @@
 //!   application-level output back out of the run;
 //! * [`run_workload`] owns everything that is *not* the application:
 //!   the pre-flight analysis seam, machine sizing and validation, the
-//!   zero-copy ZM4 `observe_iter` probe stream, SIMPLE trace
-//!   conversion, truncation handling, and intrusion accounting;
+//!   streamed monitor plane (compact kernel emissions expanded straight
+//!   into the ZM4's detectors, never stored), SIMPLE trace conversion,
+//!   truncation handling, and intrusion accounting;
 //! * [`Job`] erases the workload type so a sweep harness can mix
 //!   ray-tracer and Jacobi runs (or anything else) in one queue without
 //!   being generic itself.
@@ -45,8 +46,8 @@
 use des::time::SimTime;
 use hybridmon::IntrusionReport;
 use simple::Trace;
-use suprenum::{Machine, MachineConfig, RunEnd, RunOutcome};
-use zm4::{Measurement, Zm4Config};
+use suprenum::{EmissionRecord, Machine, MachineConfig, RunEnd, RunOutcome};
+use zm4::{Measurement, ProbeSample, Zm4Config};
 
 pub mod fault;
 pub mod jacobi;
@@ -199,13 +200,16 @@ pub struct PipelineConfig<W: Workload> {
     /// only the monitor's view of the run, never the machine itself,
     /// and is deterministic per fault seed.
     pub faults: FaultConfig,
-    /// Monitor-plane shards. `1` (the default) runs the fully inline
-    /// sequential pipeline — the differential oracle. `2..` defers
-    /// display materialization in the kernel and fans the emission
-    /// stream out to that many observer shards on worker threads,
-    /// overlapped with the simulation via watermarked release windows.
-    /// The measurement is bit-identical for every shard count (the
-    /// shard count is capped at the monitor's recorder count).
+    /// Monitor-plane shards. Every count streams the kernel's compact
+    /// emissions into the monitor while the machine runs. `1` (the
+    /// default) feeds a single observer in the calling thread; `2..`
+    /// fans the stream out to that many observer shards on worker
+    /// threads, overlapped with the simulation via watermarked release
+    /// windows. The measurement is bit-identical for every shard count
+    /// (the shard count is capped at the monitor's recorder count). The
+    /// materialized oracle is [`Machine::run`] followed by
+    /// [`Zm4::observe_iter`](zm4::Zm4::observe_iter) over
+    /// [`trace::probe_sample_iter`].
     pub shards: usize,
     /// Engine worker threads for multi-cluster machines. A
     /// multi-cluster kernel always partitions its state per cluster and
@@ -320,7 +324,10 @@ pub struct PipelineResult<W: Workload> {
     pub trace: Trace,
     /// The workload's folded output (image, solution, counters, …).
     pub output: W::Output,
-    /// The machine after the run (ground truth, signals, kernel stats).
+    /// The machine after the run (ground truth, kernel stats, terminal
+    /// writes). Its signal log holds no display writes: the monitor
+    /// plane consumed them as they were emitted. Run a [`Machine`]
+    /// directly to keep the display log.
     pub machine: Machine,
     /// Monitoring intrusion accounting (copied out of the machine for
     /// convenience).
@@ -420,12 +427,9 @@ pub fn try_run_workload<W: Workload>(
         // machine configuration per run.
         machine_cfg.kernel_instrumentation = true;
     }
-    let sharded = cfg.shards > 1;
-    if sharded {
-        // The kernel records compact emissions; the observer shards
-        // expand them off the critical path. Bit-identical either way.
-        machine_cfg.deferred_display = true;
-    }
+    // The kernel records compact emissions; the monitor plane expands
+    // them as they are drained, so no display write is ever stored.
+    machine_cfg.deferred_display = true;
     let mut machine = Machine::new(machine_cfg, cfg.seed)
         .map_err(|e| PipelineError::Invalid(format!("invalid machine configuration: {e:?}")))?;
     machine.set_engine_shards(cfg.engine_shards);
@@ -434,21 +438,8 @@ pub fn try_run_workload<W: Workload>(
     let channels = cfg.workload.channels(&machine);
     let monitor = cfg.zm4.build(channels, cfg.seed);
 
-    let faults = cfg.faults;
-    let (outcome, measurement) = if sharded {
-        run_sharded(&mut machine, &monitor, cfg.shards, cfg.horizon, faults)
-    } else {
-        // The sequential oracle: run to completion, then probe the
-        // displays in one pass. The signal log is already time-sorted
-        // (per channel, because globally), so the sample stream flows
-        // through the monitor without a materialized sample vector.
-        // Fault injection is per-sample and per-channel monotone, so
-        // the faulted stream keeps the same feed-order precondition.
-        let outcome = machine.run(cfg.horizon);
-        let measurement = monitor
-            .observe_iter(trace::probe_sample_iter(&machine).filter_map(move |s| faults.apply(s)));
-        (outcome, measurement)
-    };
+    let (outcome, measurement) =
+        run_monitored(&mut machine, &monitor, cfg.shards, cfg.horizon, cfg.faults);
     let trace = to_simple_trace(&measurement);
 
     let output = harvest(&machine);
@@ -466,26 +457,47 @@ pub fn try_run_workload<W: Workload>(
     })
 }
 
-/// Kernel events handled between monitor-plane release windows. Large
-/// enough that the per-window synchronization (a channel send per
-/// shard) is noise; small enough that shards stay busy while the
-/// kernel runs.
+/// Kernel events handled between monitor-plane drains. Large enough
+/// that the per-window work (a callback, and a channel send per shard
+/// when threaded) is noise; small enough that the emission buffer stays
+/// small and threaded shards stay busy while the kernel runs.
 const OBSERVE_WINDOW_EVENTS: u64 = 8_192;
 
-/// The sharded monitor plane: the kernel defers display materialization
-/// into compact emission records; observer shards expand each record
-/// into its probe samples and run detection + recording concurrently
-/// with the simulation. Watermarked releases (every
-/// [`OBSERVE_WINDOW_EVENTS`] kernel events) let shards process the
-/// stream in time order while the kernel keeps running.
-fn run_sharded(
+/// The monitor plane, streamed: the kernel defers display
+/// materialization into compact emission records, and every window of
+/// [`OBSERVE_WINDOW_EVENTS`] kernel events (one epoch on a
+/// multi-cluster machine) the drained records are expanded into probe
+/// samples, passed through the fault layer, and fed to the ZM4's
+/// observer shards. The display log is never stored or sorted.
+///
+/// Streaming is bit-identical to observing the materialized, sorted
+/// log: the ZM4 needs only per-channel time order (detection is per
+/// channel, recording sorts by `(time, channel)`, the CEC merge is
+/// global), and the kernel's per-node display serializer hands each
+/// node's emissions over in push order with strictly increasing,
+/// non-overlapping writes.
+///
+/// One observer shard (the default, or a monitor with one recorder)
+/// runs in the calling thread. Two or more fan the records out to
+/// worker threads, released in watermarked windows so the shards
+/// overlap with the simulation.
+fn run_monitored(
     machine: &mut Machine,
     monitor: &zm4::Zm4,
     shards: usize,
     horizon: SimTime,
     faults: FaultConfig,
 ) -> (RunOutcome, Measurement) {
-    let observers = monitor.shard_observers(shards);
+    let mut observers = monitor.shard_observers(shards);
+    if let [obs] = observers.as_mut_slice() {
+        let outcome = machine.run_observed(horizon, OBSERVE_WINDOW_EVENTS, |_now, emissions| {
+            for rec in emissions.drain(..) {
+                feed_emission(obs, &rec, faults);
+            }
+        });
+        return (outcome, monitor.assemble(observers));
+    }
+
     // Channel (= node index) → stream shard routing.
     let mut shard_of = vec![0usize; monitor.channels()];
     for (i, obs) in observers.iter().enumerate() {
@@ -495,19 +507,8 @@ fn run_sharded(
     }
     let mut stream = des::shard::ShardStream::spawn(
         observers,
-        move |obs: &mut zm4::ObserverShard, _shard, _at, rec: suprenum::EmissionRecord| {
-            for w in rec.writes() {
-                // The same pure per-sample fault verdicts as the
-                // sequential oracle — shard routing can't move a fault.
-                let sample = zm4::ProbeSample {
-                    time: w.time,
-                    channel: w.node.index() as usize,
-                    pattern: w.pattern,
-                };
-                if let Some(sample) = faults.apply(sample) {
-                    obs.feed(sample);
-                }
-            }
+        move |obs: &mut zm4::ObserverShard, _shard, _at, rec: EmissionRecord| {
+            feed_emission(obs, &rec, faults);
         },
     );
     let outcome = machine.run_observed(horizon, OBSERVE_WINDOW_EVENTS, |now, emissions| {
@@ -525,6 +526,23 @@ fn run_sharded(
     });
     let measurement = monitor.assemble(stream.finish());
     (outcome, measurement)
+}
+
+/// Expands one compact emission into its probe samples (channel = node
+/// index) and feeds those the fault layer keeps to `obs`. Fault
+/// verdicts are pure per sample, so neither shard routing nor feed
+/// order can move a fault.
+fn feed_emission(obs: &mut zm4::ObserverShard, rec: &EmissionRecord, faults: FaultConfig) {
+    for w in rec.writes() {
+        let sample = ProbeSample {
+            time: w.time,
+            channel: w.node.index() as usize,
+            pattern: w.pattern,
+        };
+        if let Some(sample) = faults.apply(sample) {
+            obs.feed(sample);
+        }
+    }
 }
 
 /// Runs one full measurement.
@@ -704,7 +722,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_match_the_sequential_oracle_bit_for_bit() {
+    fn sharded_runs_match_the_one_shard_run_bit_for_bit() {
+        // Every shard count streams the same emissions; the threaded
+        // shards must reproduce the in-thread observer exactly. (The
+        // materialized oracle is checked in tests/streamed_monitor.rs.)
         let base = PipelineConfig::new(jacobi::JacobiConfig {
             workers: 5,
             iterations: 6,

@@ -11,9 +11,14 @@ use zm4::{Measurement, ProbeSample};
 use simple::Trace;
 
 /// Streams a machine's display signal log as ZM4 probe samples without
-/// materializing them (channel = node index). The signal log is
-/// globally time-sorted, hence per-channel time-sorted — exactly the
+/// copying them (channel = node index). The signal log is globally
+/// time-sorted, hence per-channel time-sorted — exactly the
 /// precondition of [`zm4::Zm4::observe_iter`].
+///
+/// This reads the log a direct [`Machine::run`] materializes: it is the
+/// materialized oracle of the pipeline's streamed monitor plane, not a
+/// hot path. A machine run by [`crate::run_workload`] keeps no display
+/// writes, so the iterator is empty there.
 pub fn probe_sample_iter(machine: &Machine) -> impl Iterator<Item = ProbeSample> + '_ {
     machine
         .signals()
@@ -27,8 +32,8 @@ pub fn probe_sample_iter(machine: &Machine) -> impl Iterator<Item = ProbeSample>
 }
 
 /// Converts a machine's display signal log into ZM4 probe samples
-/// (channel = node index). Prefer [`probe_sample_iter`] on hot paths —
-/// this materializes the vector.
+/// (channel = node index), collected into a vector; see
+/// [`probe_sample_iter`].
 pub fn probe_samples(machine: &Machine) -> Vec<ProbeSample> {
     probe_sample_iter(machine).collect()
 }

@@ -115,9 +115,10 @@ pub struct MachineConfig {
     /// [`EmissionRecord`](crate::emission::EmissionRecord)s that a
     /// monitor-plane consumer drains during the run (or that expand
     /// lazily when the run ends). Behaviourally invisible — the expanded
-    /// log is bit-identical — but it moves ~97 % of the emission work
-    /// off the kernel's critical path so it can overlap with monitor
-    /// shards. Only meaningful under hybrid monitoring.
+    /// log is bit-identical — but a consumer that drains every window
+    /// never stores the 32×-expanded log at all; the measurement
+    /// pipeline always sets it. Only meaningful under hybrid
+    /// monitoring.
     pub deferred_display: bool,
     /// Capacity of each node's software-monitoring buffer (records).
     pub software_buffer_capacity: usize,

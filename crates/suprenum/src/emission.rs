@@ -2,15 +2,16 @@
 //! instrumentation event before its 32-pattern display sequence exists.
 //!
 //! Materializing every [`DisplayWrite`] inline dominates the kernel's
-//! run time on instrumented workloads (each emission expands to
-//! [`WRITES_PER_EVENT`] log entries). With
+//! run time and memory on instrumented workloads (each emission expands
+//! to [`WRITES_PER_EVENT`] log entries, which the run then sorts). With
 //! [`MachineConfig::deferred_display`](crate::MachineConfig::deferred_display)
 //! set, the kernel instead records one [`EmissionRecord`] per emission —
-//! the start time, pattern spacing, node, and 48-bit payload — and the
-//! expansion happens later, off the kernel's critical path: either on
-//! the monitor-plane shard threads (the parallel pipeline) or lazily at
-//! the end of the run (anything that still reads
-//! [`Machine::signals`](crate::Machine::signals)).
+//! the start time, pattern spacing, node, and 48-bit payload. A
+//! consumer of [`Machine::run_observed`](crate::Machine::run_observed)
+//! drains the records while the machine runs and expands them straight
+//! into the monitor, so the display writes are never stored (the
+//! measurement pipeline does this on every run). Records nobody drains
+//! expand into the signal log when the run ends.
 //!
 //! [`EmissionRecord::writes`] reproduces the inline path's arithmetic
 //! exactly — same start, same spacing, same pattern sequence — so the

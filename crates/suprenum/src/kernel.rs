@@ -1728,8 +1728,10 @@ impl Machine {
     /// used. The watermark guarantee is identical.
     ///
     /// Emissions still buffered when the run ends expand into the
-    /// signal log as usual, so [`Machine::signals`] stays complete no
-    /// matter how much the callback drained.
+    /// signal log as usual. Drained emissions never reach it: with
+    /// deferred display, [`Machine::signals`] holds only the display
+    /// writes the callback left in the buffer (none, when it drains
+    /// every window). Terminal writes are always kept.
     ///
     /// # Panics
     ///

@@ -64,6 +64,9 @@ pub struct EventDetector {
     channel: usize,
     latency: SimDuration,
     decoder: Decoder,
+    /// Time of the last fed sample, for the feed-order check.
+    #[cfg(debug_assertions)]
+    last_time: SimTime,
 }
 
 impl EventDetector {
@@ -73,18 +76,33 @@ impl EventDetector {
             channel,
             latency,
             decoder: Decoder::new(),
+            #[cfg(debug_assertions)]
+            last_time: SimTime::ZERO,
         }
     }
 
     /// Feeds one probed pattern; returns a detected event if this pattern
-    /// completed one.
+    /// completed one. Samples must arrive in non-decreasing time order —
+    /// the only ordering the monitor plane relies on.
     ///
     /// # Panics
     ///
-    /// Panics (debug builds) if the sample belongs to another channel.
+    /// Panics (debug builds) if the sample belongs to another channel or
+    /// is earlier than the previous sample.
     #[inline]
     pub fn feed(&mut self, sample: ProbeSample) -> Option<DetectedEvent> {
         debug_assert_eq!(sample.channel, self.channel, "sample fed to wrong detector");
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                sample.time >= self.last_time,
+                "channel {} sample at {} fed after one at {}",
+                self.channel,
+                sample.time,
+                self.last_time
+            );
+            self.last_time = sample.time;
+        }
         self.decoder
             .feed(sample.pattern)
             .map(|event| DetectedEvent {
@@ -173,6 +191,15 @@ mod tests {
         assert_eq!(detected.len(), 1);
         assert_eq!(detected[0].event, ev);
         assert_eq!(det.stats().stray_patterns, 1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "fed after")]
+    fn out_of_order_sample_panics_in_debug_builds() {
+        let mut samples = stream(0, &[MonEvent::new(1, 1)], 5, 1_000);
+        samples.swap(2, 3);
+        EventDetector::new(0, SimDuration::ZERO).detect(&samples);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! [`Zm4::assemble`] reunites the finished shards into the exact
 //! [`Measurement`] the sequential [`Zm4::observe_iter`] path produces.
 //!
-//! Bit-identity rests on three properties of the sequential pipeline:
+//! Bit-identity rests on three properties of the sequential monitor:
 //!
 //! 1. detection is per-channel ([`EventDetector::feed`] holds no
 //!    cross-channel state);
