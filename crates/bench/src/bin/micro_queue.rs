@@ -1,13 +1,17 @@
 //! Hot-path microbenchmarks: event queue, trace codec, recorder ingest.
 //!
 //! Run with `cargo run --release -p bench --bin micro_queue`. Covers the
-//! three hot paths the calendar-queue/zero-alloc overhaul touched:
+//! hot paths of the event and monitor planes:
 //!
 //! * `EventQueue` (calendar) vs `queue::reference::ReferenceQueue`
 //!   (binary heap) under the classic hold model, equal-timestamp bursts,
 //!   and horizon-spanning delays;
 //! * hybridmon encode → decode round trips;
-//! * recorder ingest into a `Vec` sink vs the incremental `DigestSink`.
+//! * recorder ingest into a `Vec` sink vs the incremental `DigestSink`;
+//! * monitor ingest: compact kernel `EmissionRecord`s expanded into
+//!   probe samples and fed to the ZM4 `Observer` (the pipeline's
+//!   streamed monitor plane), next to `Zm4::observe_iter` over the same
+//!   samples pre-expanded. Throughput is per emission (32 samples each).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use suprenum_monitor::des::clock::ClockModel;
@@ -16,7 +20,10 @@ use suprenum_monitor::des::queue::EventQueue;
 use suprenum_monitor::des::time::{SimDuration, SimTime};
 use suprenum_monitor::hybridmon::encode::encode;
 use suprenum_monitor::hybridmon::{Decoder, MonEvent};
-use suprenum_monitor::zm4::{DetectedEvent, DigestSink, EventRecorder};
+use suprenum_monitor::suprenum::{EmissionRecord, NodeId};
+use suprenum_monitor::zm4::{
+    DetectedEvent, DigestSink, EventRecorder, Observer, ProbeSample, Zm4, Zm4Config,
+};
 
 /// Deterministic xorshift so both queue implementations see the same
 /// delay sequence (no external RNG dependency in a bench bin).
@@ -168,5 +175,87 @@ fn bench_recorder_sinks(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_queue, bench_codec, bench_recorder_sinks);
+/// Expands one emission into its probe samples and feeds them, as the
+/// pipeline's monitor plane does (minus the no-op fault layer).
+fn feed_emission(observer: &mut Observer, rec: &EmissionRecord) {
+    for w in rec.writes() {
+        observer.feed(ProbeSample {
+            time: w.time,
+            channel: w.node.index() as usize,
+            pattern: w.pattern,
+        });
+    }
+}
+
+fn bench_monitor_ingest(c: &mut Criterion) {
+    let mut g = c.benchmark_group("monitor_ingest");
+    const EMISSIONS: u64 = 2_000;
+    const CHANNELS: u16 = 16;
+    g.throughput(Throughput::Elements(EMISSIONS));
+    // A deterministic emission stream over 16 nodes: each node's
+    // emissions are serialized at least 33 pattern spacings apart (the
+    // kernel's display serializer), with jitter so channels interleave.
+    let spacing = SimDuration::from_nanos(3_400);
+    let mut rng = XorShift(0x2545_f491_4f6c_dd1d);
+    let mut next_start = vec![SimTime::ZERO; usize::from(CHANNELS)];
+    let records: Vec<EmissionRecord> = (0..EMISSIONS)
+        .map(|k| {
+            let node = (k % u64::from(CHANNELS)) as u16;
+            let slot = &mut next_start[usize::from(node)];
+            let start = *slot + SimDuration::from_nanos(rng.next() % 50_000);
+            *slot = start + spacing * 33;
+            EmissionRecord {
+                start,
+                spacing,
+                node: NodeId::new(node),
+                token: (k % 1_024) as u16,
+                param: k as u32,
+            }
+        })
+        .collect();
+    let samples: Vec<ProbeSample> = records
+        .iter()
+        .flat_map(|rec| {
+            rec.writes().map(|w| ProbeSample {
+                time: w.time,
+                channel: w.node.index() as usize,
+                pattern: w.pattern,
+            })
+        })
+        .collect();
+    let zm4 = Zm4::new(Zm4Config::default(), usize::from(CHANNELS), 1992);
+    // Both paths must measure the same thing before they are timed.
+    let mut observer = zm4.observer();
+    for rec in &records {
+        feed_emission(&mut observer, rec);
+    }
+    let streamed = observer.finish();
+    assert_eq!(streamed.trace.len(), EMISSIONS as usize);
+    assert_eq!(
+        streamed.trace,
+        zm4.observe_iter(samples.iter().copied()).trace
+    );
+
+    g.bench_function("observer_feed_from_emissions", |b| {
+        b.iter(|| {
+            let mut observer = zm4.observer();
+            for rec in &records {
+                feed_emission(&mut observer, rec);
+            }
+            black_box(observer.finish())
+        });
+    });
+    g.bench_function("observe_iter_pre_expanded", |b| {
+        b.iter(|| black_box(zm4.observe_iter(samples.iter().copied())));
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_queue,
+    bench_codec,
+    bench_recorder_sinks,
+    bench_monitor_ingest
+);
 criterion_main!(benches);

@@ -1,16 +1,20 @@
-//! Conservative-lookahead sharded event execution.
+//! Conservative-lookahead windowed event execution.
 //!
 //! [`ShardedEventLoop`] splits a simulation into `K` shards, each owning
 //! its own calendar [`EventQueue`] and local clock. Shards advance
 //! independently inside a **lookahead window**: every epoch the engine
-//! computes the global minimum next-event time `W` and lets each shard
-//! execute all events in `[W, W + L)` in parallel, where `L` is the
-//! uniform lookahead (for SUPRENUM, the inter-cluster bus latency floor).
-//! Cross-shard sends become timestamped messages buffered in a per-shard
-//! outbox and **released at the barrier** that ends the epoch; because a
-//! send may not arrive earlier than the window end, no message can affect
-//! an event inside the window that produced it — the classic conservative
+//! computes the global minimum next-event time `W` and runs each shard's
+//! events in `[W, W + L)` in turn, where `L` is the uniform lookahead
+//! (for SUPRENUM, the inter-cluster bus latency floor). Cross-shard sends
+//! become timestamped messages buffered in a per-shard outbox and
+//! **released at the barrier** that ends the epoch; because a send may
+//! not arrive earlier than the window end, no message can affect an
+//! event inside the window that produced it — the classic conservative
 //! (YAWNS-style) synchronization argument.
+//!
+//! Every epoch runs in the calling thread. The windows are the record of
+//! the parallelism the event distribution makes available (see
+//! [`ShardedEventLoop::shard_steps`]), not a way to spend it.
 //!
 //! Determinism is preserved by construction:
 //!
@@ -19,24 +23,14 @@
 //! * at each barrier, buffered messages are merged in `(arrival time,
 //!   send time, source shard, send order)` order before being pushed to
 //!   their destination queues, so the FIFO sequence numbers a
-//!   destination assigns never depend on thread timing — nor on how
-//!   many worker threads the logical shards are packed onto
-//!   ([`ShardedEventLoop::run_threaded`]).
+//!   destination assigns never depend on the order the shards ran in.
 //!
-//! Two drive modes are provided:
-//!
-//! * **closed world** ([`ShardedEventLoop::run_bounded`]): the handler
-//!   schedules everything, as with the sequential engine. Used by the
-//!   differential tests that prove the synchronization protocol sound.
-//! * **streaming** ([`ShardStream`]): an external producer (the SUPRENUM
-//!   kernel) generates timestamped events and releases watermarks; each
-//!   shard consumes its queue up to the watermark on its own thread while
-//!   the producer runs ahead. The watermark plays the role of the null
-//!   message: the producer promises never to push an event earlier than
-//!   the last released watermark.
-
-use std::sync::mpsc;
-use std::thread::JoinHandle;
+//! [`ShardedEventLoop::run_bounded`] drives a closed world: the handler
+//! schedules everything, as with the sequential engine. It is what the
+//! differential tests that prove the synchronization protocol sound use.
+//! [`ShardedEventLoop::run_epochs`] adds a per-epoch collection hook with
+//! a watermark, the seam a producer (the SUPRENUM kernel) uses to stream
+//! per-shard output to a consumer.
 
 use crate::engine::StopReason;
 use crate::queue::EventQueue;
@@ -153,8 +147,7 @@ impl<E> ShardCtx<'_, E> {
     ///
     /// The message is buffered and released at the end-of-epoch barrier;
     /// all barriers merge messages in `(arrival, send time, source
-    /// shard, send order)` order, so delivery is deterministic and does
-    /// not depend on how logical shards are packed onto worker threads.
+    /// shard, send order)` order, so delivery is deterministic.
     ///
     /// # Panics
     ///
@@ -214,7 +207,7 @@ impl<E> ShardCtx<'_, E> {
     }
 }
 
-/// A conservative-lookahead parallel event loop over `K` shards.
+/// A conservative-lookahead windowed event loop over `K` shards.
 ///
 /// # Examples
 ///
@@ -243,7 +236,7 @@ pub struct ShardedEventLoop<E> {
     scheduled: u64,
 }
 
-impl<E: Send> ShardedEventLoop<E> {
+impl<E> ShardedEventLoop<E> {
     /// Creates an engine with `num_shards` empty shards and the given
     /// uniform lookahead.
     ///
@@ -291,8 +284,8 @@ impl<E: Send> ShardedEventLoop<E> {
     }
 
     /// Events handled per shard, in shard order — the engine's load
-    /// profile. `total / max` bounds the speedup any thread packing
-    /// could extract from this run's event distribution.
+    /// profile. `total / max` records the parallelism this run's event
+    /// distribution makes available.
     pub fn shard_steps(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.steps).collect()
     }
@@ -332,8 +325,7 @@ impl<E: Send> ShardedEventLoop<E> {
     /// only that shard's slot, so no locking is needed.
     pub fn run<S, F>(&mut self, states: &mut [S], handler: F) -> StopReason
     where
-        S: Send,
-        F: Fn(&mut S, &mut ShardCtx<'_, E>, SimTime, E) + Sync,
+        F: Fn(&mut S, &mut ShardCtx<'_, E>, SimTime, E),
     {
         self.run_bounded(states, SimTime::MAX, u64::MAX, handler)
     }
@@ -358,63 +350,44 @@ impl<E: Send> ShardedEventLoop<E> {
         handler: F,
     ) -> StopReason
     where
-        S: Send,
-        F: Fn(&mut S, &mut ShardCtx<'_, E>, SimTime, E) + Sync,
+        F: Fn(&mut S, &mut ShardCtx<'_, E>, SimTime, E),
     {
-        let threads = self.shards.len();
-        self.run_threaded(
+        self.run_epochs(
             states,
             horizon,
             max_steps,
-            threads,
             handler,
             |_| (),
             |_, _: Vec<()>| {},
         )
     }
 
-    /// Like [`run_bounded`](Self::run_bounded), but with the worker
-    /// thread count decoupled from the logical shard count, plus a
-    /// per-epoch collection hook.
+    /// Like [`run_bounded`](Self::run_bounded), plus a per-epoch
+    /// collection hook.
     ///
-    /// Logical shards are packed onto `threads` **persistent** worker
-    /// threads in contiguous ranges (with `threads <= 1` everything runs
-    /// inline on the caller's thread). The execution — pop order, FIFO
-    /// sequence assignment, barrier merge order — is *identical for
-    /// every thread count*: windows are computed globally and cross-shard
-    /// messages always pass through the barrier in `(arrival, send time,
-    /// source shard, send order)` order, even between shards sharing a
-    /// worker. The thread count is purely a parallelism knob.
-    ///
-    /// After every epoch's barrier, `collect` runs against each state
-    /// that participated in the epoch (on its worker thread) and the
-    /// results are passed — in shard order — to `epoch_hook` on the
-    /// caller's thread, together with a watermark: the next window's
-    /// start time (no event executes before it after this call), or
-    /// [`SimTime::MAX`] once the engine has drained. This is the seam a
-    /// producer uses to stream per-shard output (e.g. monitoring
-    /// emissions) to a consumer with a conservative lower bound on all
-    /// future event times.
+    /// After every epoch's barrier, `collect` runs against each state in
+    /// shard order and the results are passed to `epoch_hook`, together
+    /// with a watermark: the next window's start time (no event executes
+    /// before it after this call), or [`SimTime::MAX`] once the engine has
+    /// drained. This is the seam a producer uses to stream per-shard
+    /// output (e.g. monitoring emissions) to a consumer with a
+    /// conservative lower bound on all future event times.
     ///
     /// # Panics
     ///
     /// Panics if `states` does not provide exactly one slot per shard.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_threaded<S, T, F, C, H>(
+    pub fn run_epochs<S, T, F, C, H>(
         &mut self,
         states: &mut [S],
         horizon: SimTime,
         max_steps: u64,
-        threads: usize,
         handler: F,
         collect: C,
         mut epoch_hook: H,
     ) -> StopReason
     where
-        S: Send,
-        T: Send,
-        F: Fn(&mut S, &mut ShardCtx<'_, E>, SimTime, E) + Sync,
-        C: Fn(&mut S) -> T + Sync,
+        F: Fn(&mut S, &mut ShardCtx<'_, E>, SimTime, E),
+        C: Fn(&mut S) -> T,
         H: FnMut(SimTime, Vec<T>),
     {
         assert_eq!(
@@ -422,189 +395,6 @@ impl<E: Send> ShardedEventLoop<E> {
             self.shards.len(),
             "need exactly one state slot per shard"
         );
-        let num_shards = self.shards.len();
-        let lookahead = self.lookahead;
-        if threads <= 1 || num_shards == 1 {
-            return self.run_inline(
-                states,
-                horizon,
-                max_steps,
-                &handler,
-                &collect,
-                &mut epoch_hook,
-            );
-        }
-
-        let chunk = num_shards.div_ceil(threads.min(num_shards));
-        let mut epochs = 0u64;
-        let mut scheduled = 0u64;
-        let mut peeks: Vec<Option<SimTime>> =
-            self.shards.iter().map(|s| s.queue.peek_time()).collect();
-        // Messages merged at a barrier but not yet flushed to their
-        // worker, per destination shard, in global merge order.
-        let mut pending: Vec<Vec<(SimTime, E)>> = (0..num_shards).map(|_| Vec::new()).collect();
-
-        let stop = std::thread::scope(|scope| {
-            let mut cmd_txs: Vec<mpsc::Sender<EpochCmd<E>>> = Vec::new();
-            let mut res_rxs: Vec<mpsc::Receiver<EpochOut<E, T>>> = Vec::new();
-            let mut handles = Vec::new();
-            for (w, (shard_chunk, state_chunk)) in self
-                .shards
-                .chunks_mut(chunk)
-                .zip(states.chunks_mut(chunk))
-                .enumerate()
-            {
-                let (tx, rx) = mpsc::channel::<EpochCmd<E>>();
-                let (res_tx, res_rx) = mpsc::channel::<EpochOut<E, T>>();
-                cmd_txs.push(tx);
-                res_rxs.push(res_rx);
-                let handler = &handler;
-                let collect = &collect;
-                let base = w * chunk;
-                let handle = std::thread::Builder::new()
-                    .name(format!("engine-shard-{w}"))
-                    .spawn_scoped(scope, move || {
-                        worker_loop(
-                            base,
-                            shard_chunk,
-                            state_chunk,
-                            num_shards,
-                            lookahead,
-                            horizon,
-                            &rx,
-                            &res_tx,
-                            handler,
-                            collect,
-                        );
-                    })
-                    .expect("spawn engine shard worker");
-                handles.push(Some(handle));
-            }
-            let mut handled = 0u64;
-
-            // Earliest relevant time for a shard: its queue head or its
-            // oldest undelivered barrier message, whichever is first.
-            // (`pending` entries are merge-ordered with arrival time as
-            // the primary key, so the first entry is the earliest.)
-            let next_time = |peeks: &[Option<SimTime>], pending: &[Vec<(SimTime, E)>], i: usize| {
-                let queued = peeks[i];
-                let buffered = pending[i].first().map(|&(t, _)| t);
-                match (queued, buffered) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                }
-            };
-
-            loop {
-                let window_start = (0..num_shards)
-                    .filter_map(|i| next_time(&peeks, &pending, i))
-                    .min();
-                let window_start = match window_start {
-                    None => break StopReason::Drained,
-                    Some(w) if w > horizon => break StopReason::Horizon,
-                    Some(w) => w,
-                };
-                if handled >= max_steps {
-                    break StopReason::StepBudget;
-                }
-                let budget = max_steps - handled;
-                let window_end = window_start.saturating_add(lookahead);
-                let inclusive = window_start == SimTime::MAX;
-                epochs += 1;
-
-                // Dispatch only workers that have something to do this
-                // window; the rest stay parked with no round-trip.
-                let mut dispatched = Vec::new();
-                for (w, tx) in cmd_txs.iter().enumerate() {
-                    let range = (w * chunk)..(((w + 1) * chunk).min(num_shards));
-                    let active = range.clone().any(|i| {
-                        next_time(&peeks, &pending, i)
-                            .is_some_and(|t| t <= horizon && (t < window_end || inclusive))
-                    });
-                    if !active {
-                        continue;
-                    }
-                    let mut deliveries = Vec::new();
-                    for i in range {
-                        for (t, ev) in pending[i].drain(..) {
-                            deliveries.push((i, t, ev));
-                        }
-                    }
-                    tx.send(EpochCmd {
-                        window_end,
-                        inclusive,
-                        budget,
-                        deliveries,
-                    })
-                    .expect("engine shard worker hung up");
-                    dispatched.push(w);
-                }
-
-                let mut budget_hit = false;
-                let mut messages: Vec<Outgoing<E>> = Vec::new();
-                let mut collected: Vec<T> = Vec::new();
-                // Awaiting in worker order keeps `collected` in shard
-                // order without an explicit sort.
-                for &w in &dispatched {
-                    let out = match recv_spin(&res_rxs[w]) {
-                        Ok(out) => out,
-                        // The worker died mid-window: join it to recover
-                        // the original panic payload so the caller sees
-                        // the handler's message, not a channel error.
-                        Err(_) => {
-                            let handle = handles[w].take().expect("worker result channel reused");
-                            match handle.join() {
-                                Err(payload) => std::panic::resume_unwind(payload),
-                                Ok(()) => unreachable!("worker exited while coordinator live"),
-                            }
-                        }
-                    };
-                    handled += out.steps;
-                    budget_hit |= out.budget_hit;
-                    messages.extend(out.outbox);
-                    for (i, p) in out.peeks {
-                        peeks[i] = p;
-                    }
-                    collected.extend(out.collected);
-                }
-                // Barrier: merge in (arrival, send time, source shard,
-                // send order) order — identical for every thread count.
-                messages.sort_by_key(|m| (m.time, m.sent_at, m.src));
-                for m in messages {
-                    scheduled += 1;
-                    pending[m.dst].push((m.time, m.event));
-                }
-                let watermark = (0..num_shards)
-                    .filter_map(|i| next_time(&peeks, &pending, i))
-                    .min()
-                    .unwrap_or(SimTime::MAX);
-                epoch_hook(watermark, collected);
-                if budget_hit {
-                    break StopReason::StepBudget;
-                }
-            }
-        });
-        self.epochs += epochs;
-        self.scheduled += scheduled;
-        stop
-    }
-
-    /// The single-threaded twin of the worker protocol: same windows,
-    /// same merge order, no threads.
-    fn run_inline<S, T, F, C, H>(
-        &mut self,
-        states: &mut [S],
-        horizon: SimTime,
-        max_steps: u64,
-        handler: &F,
-        collect: &C,
-        epoch_hook: &mut H,
-    ) -> StopReason
-    where
-        F: Fn(&mut S, &mut ShardCtx<'_, E>, SimTime, E),
-        C: Fn(&mut S) -> T,
-        H: FnMut(SimTime, Vec<T>),
-    {
         let num_shards = self.shards.len();
         let lookahead = self.lookahead;
         let mut handled = 0u64;
@@ -632,7 +422,7 @@ impl<E: Send> ShardedEventLoop<E> {
             for (i, (shard, state)) in self.shards.iter_mut().zip(states.iter_mut()).enumerate() {
                 let (outbox, steps, hit) = run_window(
                     shard, state, i, num_shards, window_end, inclusive, horizon, budget, lookahead,
-                    handler,
+                    &handler,
                 );
                 handled += steps;
                 budget_hit |= hit;
@@ -655,104 +445,6 @@ impl<E: Send> ShardedEventLoop<E> {
             if budget_hit {
                 return StopReason::StepBudget;
             }
-        }
-    }
-}
-
-/// One epoch's marching orders for a worker.
-struct EpochCmd<E> {
-    window_end: SimTime,
-    inclusive: bool,
-    budget: u64,
-    /// Barrier messages for this worker's shards, in global merge order:
-    /// `(global destination shard, arrival time, event)`.
-    deliveries: Vec<(usize, SimTime, E)>,
-}
-
-/// One epoch's results from a worker.
-struct EpochOut<E, T> {
-    outbox: Vec<Outgoing<E>>,
-    steps: u64,
-    budget_hit: bool,
-    /// Refreshed queue-head times for every shard this worker owns.
-    peeks: Vec<(usize, Option<SimTime>)>,
-    /// Per-owned-shard collection results, in shard order.
-    collected: Vec<T>,
-}
-
-/// Spin briefly before parking on the channel: epochs are short enough
-/// that a blocking receive's wake-up latency would dominate.
-fn recv_spin<T>(rx: &mpsc::Receiver<T>) -> Result<T, mpsc::RecvError> {
-    for _ in 0..10_000 {
-        match rx.try_recv() {
-            Ok(v) => return Ok(v),
-            Err(mpsc::TryRecvError::Empty) => std::hint::spin_loop(),
-            Err(mpsc::TryRecvError::Disconnected) => return Err(mpsc::RecvError),
-        }
-    }
-    rx.recv()
-}
-
-/// A persistent worker: owns a contiguous range of logical shards for
-/// the whole run and executes one lookahead window per command.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<E, S, T, F, C>(
-    base: usize,
-    shards: &mut [ShardState<E>],
-    states: &mut [S],
-    num_shards: usize,
-    lookahead: SimDuration,
-    horizon: SimTime,
-    rx: &mpsc::Receiver<EpochCmd<E>>,
-    tx: &mpsc::Sender<EpochOut<E, T>>,
-    handler: &F,
-    collect: &C,
-) where
-    F: Fn(&mut S, &mut ShardCtx<'_, E>, SimTime, E),
-    C: Fn(&mut S) -> T,
-{
-    while let Ok(cmd) = recv_spin(rx) {
-        for (dst, t, ev) in cmd.deliveries {
-            shards[dst - base].queue.push(t, ev);
-        }
-        let mut outbox: Vec<Outgoing<E>> = Vec::new();
-        let mut steps = 0u64;
-        let mut budget_hit = false;
-        let mut collected = Vec::with_capacity(states.len());
-        for (i, (shard, state)) in shards.iter_mut().zip(states.iter_mut()).enumerate() {
-            let (out, s, hit) = run_window(
-                shard,
-                state,
-                base + i,
-                num_shards,
-                cmd.window_end,
-                cmd.inclusive,
-                horizon,
-                cmd.budget,
-                lookahead,
-                handler,
-            );
-            steps += s;
-            budget_hit |= hit;
-            outbox.extend(out);
-            collected.push(collect(state));
-        }
-        let peeks = shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (base + i, s.queue.peek_time()))
-            .collect();
-        if tx
-            .send(EpochOut {
-                outbox,
-                steps,
-                budget_hit,
-                peeks,
-                collected,
-            })
-            .is_err()
-        {
-            break;
         }
     }
 }
@@ -802,226 +494,6 @@ where
         handler(state, &mut ctx, t, event);
     }
     (outbox, steps, false)
-}
-
-/// Producer-side message to a streaming shard worker.
-enum StreamMsg<E> {
-    /// A batch of `(time, event)` pairs for the worker's queue.
-    Batch(Vec<(SimTime, E)>),
-    /// Permission to execute every queued event strictly before the
-    /// watermark: the producer promises never to push an earlier event.
-    Release(SimTime),
-}
-
-/// Events buffered per shard before they are flushed to the worker.
-const STREAM_BATCH: usize = 8 * 1024;
-
-/// A streaming sharded executor: long-lived worker threads consume
-/// per-shard event streams up to producer-released watermarks.
-///
-/// This is the engine mode the measurement pipeline uses: the SUPRENUM
-/// kernel (the producer) stays sequential and authoritative over
-/// simulated time, while the monitoring plane's expansion/detection work
-/// executes on the shard workers, overlapped with the kernel via
-/// watermark epochs. The watermark is the conservative lookahead bound:
-/// [`ShardStream::push`] rejects events earlier than the last released
-/// watermark, exactly as a conservative engine rejects a message into a
-/// closed window.
-///
-/// # Examples
-///
-/// ```
-/// use des::shard::ShardStream;
-/// use des::time::SimTime;
-///
-/// let mut stream: ShardStream<u64, Vec<u64>> =
-///     ShardStream::spawn(vec![Vec::new(), Vec::new()], |log, _shard, _t, v| log.push(v));
-/// stream.push(0, SimTime::from_nanos(5), 50);
-/// stream.push(1, SimTime::from_nanos(3), 30);
-/// stream.release(SimTime::from_nanos(10));
-/// let logs = stream.finish();
-/// assert_eq!(logs, vec![vec![50], vec![30]]);
-/// ```
-pub struct ShardStream<E, S> {
-    senders: Vec<mpsc::Sender<StreamMsg<E>>>,
-    workers: Vec<JoinHandle<S>>,
-    pending: Vec<Vec<(SimTime, E)>>,
-    watermark: SimTime,
-    pushed: u64,
-}
-
-impl<E, S> std::fmt::Debug for ShardStream<E, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardStream")
-            .field("num_shards", &self.senders.len())
-            .field("watermark", &self.watermark)
-            .field("pushed", &self.pushed)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<E, S> ShardStream<E, S>
-where
-    E: Send + 'static,
-    S: Send + 'static,
-{
-    /// Spawns one worker thread per state slot. Each worker owns its
-    /// state and its calendar [`EventQueue`]; `handler` runs on the
-    /// worker thread for every released event, in `(time, push order)`
-    /// order within the shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` is empty.
-    pub fn spawn<F>(states: Vec<S>, handler: F) -> Self
-    where
-        F: Fn(&mut S, usize, SimTime, E) + Send + Sync + 'static,
-    {
-        assert!(!states.is_empty(), "need at least one shard");
-        let handler = std::sync::Arc::new(handler);
-        let mut senders = Vec::with_capacity(states.len());
-        let mut workers = Vec::with_capacity(states.len());
-        let num_shards = states.len();
-        for (index, mut state) in states.into_iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<StreamMsg<E>>();
-            let handler = handler.clone();
-            let builder = std::thread::Builder::new().name(format!("shard-{index}/{num_shards}"));
-            let handle = builder
-                .spawn(move || {
-                    let mut queue: EventQueue<E> = EventQueue::new();
-                    let run_to = |queue: &mut EventQueue<E>,
-                                  state: &mut S,
-                                  watermark: SimTime,
-                                  inclusive: bool| {
-                        while let Some(t) = queue.peek_time() {
-                            if !(t < watermark || inclusive) {
-                                break;
-                            }
-                            let (t, event) = queue.pop().expect("peeked nonempty queue");
-                            handler(state, index, t, event);
-                        }
-                    };
-                    for msg in rx {
-                        match msg {
-                            StreamMsg::Batch(batch) => {
-                                for (t, event) in batch {
-                                    queue.push(t, event);
-                                }
-                            }
-                            StreamMsg::Release(w) => {
-                                run_to(&mut queue, &mut state, w, w == SimTime::MAX);
-                            }
-                        }
-                    }
-                    // Producer hung up: everything still queued is final.
-                    run_to(&mut queue, &mut state, SimTime::MAX, true);
-                    state
-                })
-                .expect("spawn shard worker");
-            senders.push(tx);
-            workers.push(handle);
-        }
-        ShardStream {
-            senders,
-            workers,
-            pending: (0..num_shards).map(|_| Vec::new()).collect(),
-            watermark: SimTime::ZERO,
-            pushed: 0,
-        }
-    }
-
-    /// Number of shard workers.
-    pub fn num_shards(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// The last released watermark.
-    pub fn watermark(&self) -> SimTime {
-        self.watermark
-    }
-
-    /// Total events pushed so far.
-    pub fn events_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Queues `event` for `shard` at time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range, or if `at` is earlier than the
-    /// current watermark — the producer contract (a conservative
-    /// lookahead bound) forbids pushing into a released window.
-    pub fn push(&mut self, shard: usize, at: SimTime, event: E) {
-        assert!(
-            at >= self.watermark,
-            "push at {at} violates the released watermark {}",
-            self.watermark
-        );
-        self.pushed += 1;
-        let buf = &mut self.pending[shard];
-        buf.push((at, event));
-        if buf.len() >= STREAM_BATCH {
-            let batch = std::mem::take(buf);
-            self.send(shard, StreamMsg::Batch(batch));
-        }
-    }
-
-    /// Flushes buffered events and releases `watermark`: every shard may
-    /// now execute all queued events strictly before it. Watermarks must
-    /// be non-decreasing.
-    pub fn release(&mut self, watermark: SimTime) {
-        assert!(
-            watermark >= self.watermark,
-            "watermark went backwards ({watermark} < {})",
-            self.watermark
-        );
-        self.watermark = watermark;
-        for shard in 0..self.senders.len() {
-            if !self.pending[shard].is_empty() {
-                let batch = std::mem::take(&mut self.pending[shard]);
-                self.send(shard, StreamMsg::Batch(batch));
-            }
-            self.send(shard, StreamMsg::Release(watermark));
-        }
-    }
-
-    /// Flushes remaining events, waits for every worker to drain, and
-    /// returns the per-shard states.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises any panic that occurred on a worker thread.
-    pub fn finish(mut self) -> Vec<S> {
-        for shard in 0..self.senders.len() {
-            if !self.pending[shard].is_empty() {
-                let batch = std::mem::take(&mut self.pending[shard]);
-                self.send(shard, StreamMsg::Batch(batch));
-            }
-        }
-        drop(std::mem::take(&mut self.senders));
-        self.workers
-            .drain(..)
-            .map(|h| match h.join() {
-                Ok(state) => state,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    }
-
-    /// Sends to a worker, surfacing the worker's own panic if it died.
-    fn send(&mut self, shard: usize, msg: StreamMsg<E>) {
-        if self.senders[shard].send(msg).is_err() {
-            // The worker can only have exited by panicking (it never
-            // returns while its receiver is alive); join to re-raise the
-            // real panic instead of a bare SendError.
-            let handle = self.workers.remove(shard);
-            match handle.join() {
-                Err(payload) => std::panic::resume_unwind(payload),
-                Ok(_) => unreachable!("shard worker exited with its channel open"),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1224,7 +696,7 @@ mod tests {
 
     /// Two messages arriving at the same instant from different shards
     /// merge in *send time* order first, then source shard — the key
-    /// that keeps delivery independent of shard-to-thread packing.
+    /// that keeps delivery independent of the order shards run in.
     #[test]
     fn equal_arrival_ties_merge_in_send_time_order() {
         let mut sim: ShardedEventLoop<&'static str> = ShardedEventLoop::new(3, LOOKAHEAD);
@@ -1254,11 +726,10 @@ mod tests {
         sim.schedule(0, SimTime::ZERO, 0);
         let mut states: Vec<Vec<u64>> = vec![Vec::new(); 2];
         let mut all = Vec::new();
-        let reason = sim.run_threaded(
+        let reason = sim.run_epochs(
             &mut states,
             SimTime::MAX,
             u64::MAX,
-            2,
             |seen: &mut Vec<u64>, ctx, now, hop| {
                 seen.push(now.as_nanos());
                 if hop < 5 {
@@ -1321,119 +792,7 @@ mod tests {
         assert_eq!(logs, vec![vec![1], vec![2]]);
     }
 
-    #[test]
-    fn stream_processes_in_time_order_within_shard() {
-        let mut stream: ShardStream<u32, Vec<(u64, u32)>> =
-            ShardStream::spawn(vec![Vec::new()], |log, _, t, v| log.push((t.as_nanos(), v)));
-        stream.push(0, SimTime::from_nanos(30), 3);
-        stream.push(0, SimTime::from_nanos(10), 1);
-        stream.push(0, SimTime::from_nanos(20), 2);
-        // Only events strictly before the watermark run.
-        stream.release(SimTime::from_nanos(25));
-        stream.push(0, SimTime::from_nanos(40), 4);
-        let logs = stream.finish();
-        assert_eq!(logs[0], vec![(10, 1), (20, 2), (30, 3), (40, 4)]);
-    }
-
-    #[test]
-    fn stream_fifo_for_equal_times() {
-        let mut stream: ShardStream<u32, Vec<u32>> =
-            ShardStream::spawn(vec![Vec::new()], |log, _, _, v| log.push(v));
-        for v in 0..100 {
-            stream.push(0, SimTime::from_nanos(5), v);
-        }
-        let logs = stream.finish();
-        assert_eq!(logs[0], (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "violates the released watermark")]
-    fn stream_push_below_watermark_panics() {
-        let mut stream: ShardStream<u32, ()> = ShardStream::spawn(vec![()], |_, _, _, _| {});
-        stream.release(SimTime::from_nanos(100));
-        stream.push(0, SimTime::from_nanos(50), 1);
-    }
-
-    #[test]
-    fn stream_worker_panic_surfaces_at_finish() {
-        let mut stream: ShardStream<u32, ()> = ShardStream::spawn(vec![()], |_, _, _, v| {
-            assert!(v != 7, "poison event");
-        });
-        stream.push(0, SimTime::from_nanos(1), 7);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stream.finish()));
-        assert!(result.is_err());
-    }
-
-    /// Runs the toy protocol through `run_threaded` with an explicit
-    /// worker-thread count.
-    fn run_threaded_case(
-        num_shards: usize,
-        threads: usize,
-        seeds: &[(usize, u64, Ev)],
-    ) -> Vec<Vec<(u64, Ev)>> {
-        let mut sim: ShardedEventLoop<Ev> = ShardedEventLoop::new(num_shards, LOOKAHEAD);
-        for &(shard, at, ev) in seeds {
-            sim.schedule(shard, SimTime::from_nanos(at), ev);
-        }
-        let mut logs: Vec<Vec<(u64, Ev)>> = vec![Vec::new(); num_shards];
-        let reason = sim.run_threaded(
-            &mut logs,
-            SimTime::MAX,
-            u64::MAX,
-            threads,
-            |log: &mut Vec<(u64, Ev)>, ctx, now, ev| {
-                log.push((now.as_nanos(), ev));
-                for (dst, delay, next) in follow_ups(ev, ctx.shard(), ctx.num_shards()) {
-                    if dst == ctx.shard() {
-                        ctx.schedule_in(delay, next);
-                    } else {
-                        ctx.send_in(dst, delay, next);
-                    }
-                }
-            },
-            |_| (),
-            |_, _: Vec<()>| {},
-        );
-        assert_eq!(reason, StopReason::Drained);
-        logs
-    }
-
-    /// FNV digest of per-shard execution logs.
-    fn log_digest(logs: &[Vec<(u64, Ev)>]) -> u64 {
-        let mut h = crate::digest::Fnv64::new();
-        for (i, log) in logs.iter().enumerate() {
-            h.write_u64(i as u64);
-            for &(t, ev) in log {
-                h.write_u64(t);
-                h.write_u64(ev.id);
-                h.write_u64(u64::from(ev.hops));
-            }
-        }
-        h.finish()
-    }
-
     proptest! {
-        /// Digest invariance across both the shard count and the worker
-        /// thread count: for every `(num_shards, threads)` pair the
-        /// execution digest equals the sequential oracle's.
-        #[test]
-        fn digests_invariant_across_shards_and_threads(
-            num_shards in 1usize..6,
-            threads in 1usize..5,
-            seeds in proptest::collection::vec((0usize..6, 0u64..1_000_000, 1u64..1000, 0u8..5), 1..10),
-        ) {
-            let seeds: Vec<(usize, u64, Ev)> = seeds
-                .iter()
-                .enumerate()
-                .map(|(i, &(shard, at, id, hops))| {
-                    (shard % num_shards, at, Ev { id: id * 1000 + i as u64, hops })
-                })
-                .collect();
-            let oracle = log_digest(&run_sequential(num_shards, &seeds));
-            let threaded = log_digest(&run_threaded_case(num_shards, threads, &seeds));
-            prop_assert_eq!(oracle, threaded);
-        }
-
         /// For arbitrary seed workloads, every shard's execution log on
         /// the sharded engine is identical to the same logical process's
         /// log under the sequential oracle.
@@ -1457,7 +816,7 @@ mod tests {
         }
 
         /// The sharded engine is deterministic: two runs of the same
-        /// workload produce identical logs, regardless of thread timing.
+        /// workload produce identical logs.
         #[test]
         fn sharded_runs_are_reproducible(
             num_shards in 2usize..5,
@@ -1471,38 +830,6 @@ mod tests {
                 })
                 .collect();
             prop_assert_eq!(run_sharded(num_shards, &seeds), run_sharded(num_shards, &seeds));
-        }
-
-        /// Streaming mode: per-shard logs equal a per-shard (time, push
-        /// order) sort of the pushed events, for arbitrary push/release
-        /// interleavings.
-        #[test]
-        fn stream_matches_sorted_reference(
-            num_shards in 1usize..4,
-            ops in proptest::collection::vec((0usize..4, 0u64..10_000, 0u8..4), 0..200),
-        ) {
-            let mut stream: ShardStream<usize, Vec<(u64, usize)>> = ShardStream::spawn(
-                (0..num_shards).map(|_| Vec::new()).collect(),
-                |log, _, t, v| log.push((t.as_nanos(), v)),
-            );
-            let mut reference: Vec<Vec<(u64, usize)>> = vec![Vec::new(); num_shards];
-            let mut watermark = 0u64;
-            for (i, &(shard, t, sel)) in ops.iter().enumerate() {
-                let shard = shard % num_shards;
-                let t = watermark + t; // respect the producer contract
-                stream.push(shard, SimTime::from_nanos(t), i);
-                reference[shard].push((t, i));
-                if sel == 0 {
-                    watermark = t;
-                    stream.release(SimTime::from_nanos(watermark));
-                }
-            }
-            let logs = stream.finish();
-            for shard in 0..num_shards {
-                // Stable sort by time = (time, push order).
-                reference[shard].sort_by_key(|&(t, _)| t);
-                prop_assert_eq!(&logs[shard], &reference[shard]);
-            }
         }
     }
 }

@@ -190,19 +190,9 @@ pub struct RunRecord {
     /// part of the digest; the benchmark baseline compares this across
     /// commits.
     pub events_per_sec: f64,
-    /// Monitor-shard count the run executed with. Sharding is
-    /// behaviourally invisible — digests are bit-identical for any
-    /// count — so this only contextualizes the wall-clock numbers.
-    pub shards: usize,
-    /// Engine worker-thread count the run executed with. Like monitor
-    /// sharding, behaviourally invisible: a multi-cluster machine
-    /// always partitions per cluster, this only packs the shards onto
-    /// threads. Additive schema-4 field — absent in older artifacts,
-    /// which all ran with 1.
-    pub engine_shards: usize,
     /// Canonical name of the kernel scheduling policy the run executed
-    /// under (see [`suprenum::SchedulerKind::name`]). Unlike sharding
-    /// this *does* change simulated behaviour, so `harness compare`
+    /// under (see [`suprenum::SchedulerKind::name`]). This changes
+    /// simulated behaviour, so `harness compare`
     /// refuses to diff records across policies. Additive schema-4
     /// field — absent in older artifacts, which all ran round-robin
     /// (`"rr"`).
@@ -596,8 +586,6 @@ pub fn execute(spec: &RunSpec) -> RunRecord {
         } else {
             0.0
         },
-        shards: run.shards,
-        engine_shards: run.engine_shards,
         scheduler: run.scheduler.name(),
         trace_events: run.trace.len(),
         trace_digest: trace_digest(
@@ -726,8 +714,10 @@ impl SweepReport {
                     .u64("analysis_infos", r.analysis_infos)
                     .u64("events_processed", r.events_processed)
                     .f64("events_per_sec", r.events_per_sec)
-                    .u64("shards", r.shards as u64)
-                    .u64("engine_shards", r.engine_shards as u64)
+                    // Every run executes in one thread; the layout
+                    // fields stay for `compare` against older artifacts.
+                    .u64("shards", 1)
+                    .u64("engine_shards", 1)
                     .str("scheduler", &r.scheduler)
                     .u64("trace_events", r.trace_events as u64)
                     .str("trace_digest", &r.trace_digest)
@@ -1137,7 +1127,6 @@ mod tests {
     #[test]
     fn record_separates_engine_and_analysis_time() {
         let rec = execute(&tiny_spec("t", 7, 600_000));
-        assert_eq!(rec.shards, 1);
         assert!(rec.analysis_ms >= 0.0);
         assert!(rec.wall_ms >= 0.0);
         assert!(rec.events_per_sec > 0.0);

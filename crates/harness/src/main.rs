@@ -3,11 +3,9 @@
 //! ```text
 //! harness list
 //! harness sweep <name> [--scale paper|quick] [--workers N] [--seed S]
-//!                      [--shards K] [--engine-shards K] [--horizon-secs T]
-//!                      [--scheduler SPEC] [--out PATH]
+//!                      [--horizon-secs T] [--scheduler SPEC] [--out PATH]
 //!                      [--check-digests FILE] [--write-digests FILE]
 //! harness bench [names…] [--scale paper|quick] [--workers N] [--seed S]
-//!                        [--shards K] [--engine-shards K]
 //!                        [--scheduler SPEC] [--out PATH]
 //!                        [--check-digests FILE]
 //! harness compare <BASELINE.json> <CANDIDATE.json>
@@ -16,20 +14,17 @@
 //!                       [--races]
 //! ```
 //!
-//! `--shards K` runs every job's monitor plane on `K` observer shards
-//! overlapped with the kernel. `--engine-shards K` packs a multi-cluster
-//! machine's per-cluster engine shards onto `K` worker threads
-//! (single-cluster shapes ignore it). Both are behaviourally invisible —
-//! trace digests stay bit-identical to the one-shard, one-thread run for
-//! any `K` — so the flags only change wall-clock numbers.
+//! `--workers N` runs up to `N` jobs at once; each job runs its kernel
+//! and monitor plane in one thread, so trace digests are the same for
+//! every `N`.
 //!
 //! `--scheduler SPEC` overrides the kernel scheduling policy on every
 //! run: `rr` (cooperative round-robin, the default), `preempt[:us]`
 //! (fixed-priority with a quantum), `cfs[:us]` (vruntime fair), or
 //! `fuzz[:base[:seed]]` (seeded perturbation of a base policy).
-//! Scheduling — unlike sharding — is behaviourally *visible*: digests
-//! only match goldens recorded under the same policy, and artifacts
-//! record the policy so `compare` can refuse cross-scheduler diffs.
+//! Scheduling is behaviourally *visible*: digests only match goldens
+//! recorded under the same policy, and artifacts record the policy so
+//! `compare` can refuse cross-scheduler diffs.
 //!
 //! `bench` runs the named sweeps (default: `fig10 smoke`) and writes a
 //! single dated baseline artifact (`artifacts/BENCH_<date>.json`) with
@@ -74,11 +69,9 @@ use suprenum::SchedulerKind;
 const USAGE: &str = "usage:
   harness list
   harness sweep <name> [--scale paper|quick] [--workers N] [--seed S]
-                       [--shards K] [--engine-shards K] [--horizon-secs T]
-                       [--scheduler SPEC] [--out PATH]
+                       [--horizon-secs T] [--scheduler SPEC] [--out PATH]
                        [--check-digests FILE] [--write-digests FILE]
   harness bench [names…] [--scale paper|quick] [--workers N] [--seed S]
-                         [--shards K] [--engine-shards K]
                          [--scheduler SPEC] [--out PATH]
                          [--check-digests FILE]
   harness compare <BASELINE.json> <CANDIDATE.json>
@@ -89,15 +82,9 @@ const USAGE: &str = "usage:
 --horizon-secs caps every run's simulated-time budget (a too-small cap
 truncates the runs; the sweep then exits 2 and marks each record).
 
---shards runs each job's monitor plane on K observer shards overlapped
-with the kernel (1 = one in-thread observer); --engine-shards packs a
-multi-cluster machine's per-cluster engine shards onto K worker
-threads. Both keep digests bit-identical to the one-shard, one-thread
-run.
-
 --scheduler overrides the kernel scheduling policy on every run:
 rr | preempt[:quantum_us] | cfs[:quantum_us] | fuzz[:base[:seed]].
-Unlike sharding this is behaviourally visible — only compare digests
+This is behaviourally visible — only compare digests
 recorded under the same policy. Artifacts record the policy.
 
 bench defaults to the fig10 and smoke sweeps and writes the combined
@@ -119,8 +106,6 @@ struct Args {
     scale: Scale,
     workers: usize,
     seed: u64,
-    shards: Option<usize>,
-    engine_shards: Option<usize>,
     horizon_secs: Option<u64>,
     scheduler: Option<SchedulerKind>,
     out: Option<PathBuf>,
@@ -145,8 +130,6 @@ fn parse_sweep_args(rest: &[String]) -> Result<Args, String> {
         scale: Scale::Paper,
         workers: default_workers(),
         seed: 1992,
-        shards: None,
-        engine_shards: None,
         horizon_secs: None,
         scheduler: None,
         out: None,
@@ -174,24 +157,6 @@ fn parse_sweep_args(rest: &[String]) -> Result<Args, String> {
             "--seed" => {
                 args.seed = value()?.parse().map_err(|_| "--seed needs an integer")?;
             }
-            "--shards" => {
-                args.shards = Some(
-                    value()?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&s| s > 0)
-                        .ok_or("--shards needs a positive integer")?,
-                );
-            }
-            "--engine-shards" => {
-                args.engine_shards = Some(
-                    value()?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&s| s > 0)
-                        .ok_or("--engine-shards needs a positive integer")?,
-                );
-            }
             "--horizon-secs" => {
                 args.horizon_secs = Some(
                     value()?
@@ -214,8 +179,6 @@ struct BenchArgs {
     scale: Scale,
     workers: usize,
     seed: u64,
-    shards: Option<usize>,
-    engine_shards: Option<usize>,
     scheduler: Option<SchedulerKind>,
     out: Option<PathBuf>,
     check_digests: Option<PathBuf>,
@@ -227,8 +190,6 @@ fn parse_bench_args(rest: &[String]) -> Result<BenchArgs, String> {
         scale: Scale::Paper,
         workers: default_workers(),
         seed: 1992,
-        shards: None,
-        engine_shards: None,
         scheduler: None,
         out: None,
         check_digests: None,
@@ -254,24 +215,6 @@ fn parse_bench_args(rest: &[String]) -> Result<BenchArgs, String> {
             }
             "--seed" => {
                 args.seed = value()?.parse().map_err(|_| "--seed needs an integer")?;
-            }
-            "--shards" => {
-                args.shards = Some(
-                    value()?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&s| s > 0)
-                        .ok_or("--shards needs a positive integer")?,
-                );
-            }
-            "--engine-shards" => {
-                args.engine_shards = Some(
-                    value()?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&s| s > 0)
-                        .ok_or("--engine-shards needs a positive integer")?,
-                );
             }
             "--scheduler" => args.scheduler = Some(parse_scheduler(value()?)?),
             "--out" => args.out = Some(PathBuf::from(value()?)),
@@ -364,29 +307,16 @@ fn main() -> ExitCode {
                         .override_horizon(des::time::SimTime::from_secs(secs));
                 }
             }
-            if let Some(shards) = args.shards {
-                for spec in &mut sweep.runs {
-                    spec.job.override_shards(shards);
-                }
-            }
-            if let Some(engine_shards) = args.engine_shards {
-                for spec in &mut sweep.runs {
-                    spec.job.override_engine_shards(engine_shards);
-                }
-            }
             if let Some(scheduler) = &args.scheduler {
                 for spec in &mut sweep.runs {
                     spec.job.override_scheduler(scheduler.clone());
                 }
             }
             eprintln!(
-                "running sweep '{}' ({} runs) on {} worker(s), {} monitor shard(s), \
-                 {} engine shard(s){}…",
+                "running sweep '{}' ({} runs) on {} worker(s){}…",
                 sweep.name,
                 sweep.runs.len(),
                 args.workers,
-                args.shards.unwrap_or(1),
-                args.engine_shards.unwrap_or(1),
                 match &args.scheduler {
                     Some(s) => format!(", scheduler {s}"),
                     None => String::new(),
@@ -455,16 +385,6 @@ fn main() -> ExitCode {
                 let Some(mut sweep) = sweeps::by_name(name, args.scale, args.seed) else {
                     return usage_error(&format!("unknown sweep '{name}'"));
                 };
-                if let Some(shards) = args.shards {
-                    for spec in &mut sweep.runs {
-                        spec.job.override_shards(shards);
-                    }
-                }
-                if let Some(engine_shards) = args.engine_shards {
-                    for spec in &mut sweep.runs {
-                        spec.job.override_engine_shards(engine_shards);
-                    }
-                }
                 if let Some(scheduler) = &args.scheduler {
                     for spec in &mut sweep.runs {
                         spec.job.override_scheduler(scheduler.clone());

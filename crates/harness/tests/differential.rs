@@ -66,24 +66,14 @@ fn jacobi_digests_match_the_committed_goldens() {
 }
 
 /// The scaling sweep — 16/32/64-node ladders spanning one to four
-/// clusters — is the differential oracle for the parallel per-cluster
-/// engine: the committed goldens were recorded sequentially
-/// (`engine_shards = 1`), and the sweep must reproduce them with the
-/// engine threaded across workers.
+/// clusters — is the differential oracle for the per-cluster windowed
+/// engine: every multi-cluster rung must reproduce its committed golden.
 #[test]
-fn scaling_digests_match_the_sequential_goldens_when_threaded() {
-    let mut sweep = sweeps::by_name("scaling", Scale::Quick, 1992).unwrap();
-    for spec in &mut sweep.runs {
-        spec.job.override_engine_shards(2);
-    }
+fn scaling_digests_match_the_committed_goldens() {
+    let sweep = sweeps::by_name("scaling", Scale::Quick, 1992).unwrap();
     let report = run_sweep(&sweep, 2);
     assert_eq!(report.exit_code(), 0);
     report
         .check_digests(include_str!("golden/scaling_digests.txt"))
-        .unwrap_or_else(|errors| {
-            panic!(
-                "threaded engine diverged from the sequential goldens:\n{}",
-                errors.join("\n")
-            )
-        });
+        .unwrap_or_else(|errors| panic!("scaling sweep digests drifted:\n{}", errors.join("\n")));
 }

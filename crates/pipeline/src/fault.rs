@@ -10,9 +10,8 @@
 //!
 //! Every decision is a pure function of the sample and the fault seed
 //! (an FNV-1a hash of `(channel, time, pattern, seed)`), never of
-//! iteration order or shard assignment — so faulted measurements are
-//! reproducible per seed and identical across monitor-shard and
-//! engine-shard counts, exactly like the un-faulted pipeline.
+//! iteration order — so faulted measurements are reproducible per seed,
+//! exactly like the un-faulted pipeline.
 
 use des::digest::Fnv64;
 use hybridmon::Pattern;

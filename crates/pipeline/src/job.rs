@@ -30,19 +30,10 @@ pub struct ExecOverrides {
     pub policy: Option<PolicyMode>,
     /// Replaces the configured simulated-time budget.
     pub horizon: Option<SimTime>,
-    /// Replaces the configured monitor-shard count (the CLI's
-    /// `--shards` flag). Sharding is behaviourally invisible, so this
-    /// does not perturb the configuration fingerprint.
-    pub shards: Option<usize>,
-    /// Replaces the configured engine worker-thread count (the CLI's
-    /// `--engine-shards` flag). Like monitor sharding, behaviourally
-    /// invisible: multi-cluster machines always partition per cluster,
-    /// and this only packs the shards onto threads.
-    pub engine_shards: Option<usize>,
     /// Replaces the configured kernel scheduling policy (the CLI's
-    /// `--scheduler` flag). Unlike sharding this *does* change
-    /// behaviour; the effective policy is recorded in
-    /// [`JobRun::scheduler`] so artifacts stay honest.
+    /// `--scheduler` flag). This changes behaviour; the effective
+    /// policy is recorded in [`JobRun::scheduler`] so artifacts stay
+    /// honest.
     pub scheduler: Option<SchedulerKind>,
     /// Replaces the configured probe-plane fault injection (the sweep
     /// harness's fuzz dimensions).
@@ -71,10 +62,6 @@ pub struct JobRun {
     /// effective policy was `Off`), so harnesses can record finding
     /// counts per severity next to the measurement.
     pub preflight: Option<PreflightSummary>,
-    /// Monitor-shard count the run actually executed with.
-    pub shards: usize,
-    /// Engine worker-thread count the run actually executed with.
-    pub engine_shards: usize,
     /// Kernel scheduling policy the run actually executed under.
     pub scheduler: SchedulerKind,
 }
@@ -92,8 +79,6 @@ pub struct Job {
     seed: u64,
     fingerprint: u64,
     horizon: Option<SimTime>,
-    shards: Option<usize>,
-    engine_shards: Option<usize>,
     scheduler: Option<SchedulerKind>,
     faults: Option<FaultConfig>,
     exec: Arc<Exec>,
@@ -124,20 +109,12 @@ impl Job {
             if let Some(horizon) = ov.horizon {
                 cfg.horizon = horizon;
             }
-            if let Some(shards) = ov.shards {
-                cfg.shards = shards;
-            }
-            if let Some(engine_shards) = ov.engine_shards {
-                cfg.engine_shards = engine_shards;
-            }
             if let Some(scheduler) = ov.scheduler {
                 cfg.machine.scheduler = scheduler;
             }
             if let Some(faults) = ov.faults {
                 cfg.faults = faults;
             }
-            let shards = cfg.shards;
-            let engine_shards = cfg.engine_shards;
             let scheduler = cfg.machine.scheduler.clone();
             let workload = cfg.workload.clone();
             let result = match try_run_workload(cfg) {
@@ -157,8 +134,6 @@ impl Job {
                 orders: workload.proven_orders(),
                 analysis: result.analysis,
                 preflight: result.preflight,
-                shards,
-                engine_shards,
                 scheduler,
             })
         });
@@ -167,8 +142,6 @@ impl Job {
             seed,
             fingerprint,
             horizon: None,
-            shards: None,
-            engine_shards: None,
             scheduler: None,
             faults: None,
             exec,
@@ -197,21 +170,6 @@ impl Job {
         self.horizon = Some(horizon);
     }
 
-    /// Sets the monitor-shard count for every subsequent execution (the
-    /// CLI's `--shards`). Sharding is behaviourally invisible: traces,
-    /// outcomes and digests stay bit-identical to the one-shard run.
-    pub fn override_shards(&mut self, shards: usize) {
-        self.shards = Some(shards);
-    }
-
-    /// Sets the engine worker-thread count for every subsequent
-    /// execution (the CLI's `--engine-shards`). Behaviourally
-    /// invisible: a multi-cluster machine always runs one logical
-    /// shard per cluster, and this only packs them onto threads.
-    pub fn override_engine_shards(&mut self, engine_shards: usize) {
-        self.engine_shards = Some(engine_shards);
-    }
-
     /// Replaces the kernel scheduling policy for every subsequent
     /// execution (the CLI's `--scheduler`). This changes scheduling
     /// behaviour, not just packaging — the effective policy is recorded
@@ -238,8 +196,6 @@ impl Job {
         (self.exec)(ExecOverrides {
             policy,
             horizon: self.horizon,
-            shards: self.shards,
-            engine_shards: self.engine_shards,
             scheduler: self.scheduler.clone(),
             faults: self.faults,
         })
@@ -280,46 +236,6 @@ mod tests {
         assert_eq!(a.outcome.end, b.outcome.end);
         assert_eq!(a.trace.len(), b.trace.len());
         assert!(a.metrics.work_units > 0);
-    }
-
-    #[test]
-    fn shards_override_is_behaviourally_invisible() {
-        let cfg = PipelineConfig::new(JacobiConfig {
-            workers: 4,
-            iterations: 4,
-            cells_per_worker: 8,
-            ..JacobiConfig::default()
-        });
-        let job = Job::new(cfg);
-        let reference = job.run();
-        assert_eq!(reference.shards, 1);
-        let mut sharded = job.clone();
-        sharded.override_shards(2);
-        let run = sharded.run();
-        assert_eq!(run.shards, 2);
-        assert_eq!(reference.outcome, run.outcome);
-        assert_eq!(reference.trace, run.trace);
-    }
-
-    #[test]
-    fn engine_shards_override_is_behaviourally_invisible() {
-        // 18 workers + coordinator → 19 nodes → two clusters, so the
-        // parallel engine actually engages.
-        let cfg = PipelineConfig::new(JacobiConfig {
-            workers: 18,
-            iterations: 3,
-            cells_per_worker: 8,
-            ..JacobiConfig::default()
-        });
-        let job = Job::new(cfg);
-        let reference = job.run();
-        assert_eq!(reference.engine_shards, 1);
-        let mut threaded = job.clone();
-        threaded.override_engine_shards(2);
-        let run = threaded.run();
-        assert_eq!(run.engine_shards, 2);
-        assert_eq!(reference.outcome, run.outcome);
-        assert_eq!(reference.trace, run.trace);
     }
 
     #[test]

@@ -46,7 +46,7 @@
 use des::time::SimTime;
 use hybridmon::IntrusionReport;
 use simple::Trace;
-use suprenum::{EmissionRecord, Machine, MachineConfig, RunEnd, RunOutcome};
+use suprenum::{Machine, MachineConfig, RunEnd, RunOutcome};
 use zm4::{Measurement, ProbeSample, Zm4Config};
 
 pub mod fault;
@@ -200,26 +200,12 @@ pub struct PipelineConfig<W: Workload> {
     /// only the monitor's view of the run, never the machine itself,
     /// and is deterministic per fault seed.
     pub faults: FaultConfig,
-    /// Monitor-plane shards. Every count streams the kernel's compact
-    /// emissions into the monitor while the machine runs. `1` (the
-    /// default) feeds a single observer in the calling thread; `2..`
-    /// fans the stream out to that many observer shards on worker
-    /// threads, overlapped with the simulation via watermarked release
-    /// windows. The measurement is bit-identical for every shard count
-    /// (the shard count is capped at the monitor's recorder count). The
-    /// materialized oracle is [`Machine::run`] followed by
-    /// [`Zm4::observe_iter`](zm4::Zm4::observe_iter) over
-    /// [`trace::probe_sample_iter`].
-    pub shards: usize,
-    /// Engine worker threads for multi-cluster machines. A
-    /// multi-cluster kernel always partitions its state per cluster and
-    /// runs conservative parallel discrete-event simulation over the
-    /// torus ring; this knob only controls how many worker threads the
-    /// cluster shards are packed onto. `1` (the default) executes the
-    /// shards on the calling thread. Trace digests are bit-identical
-    /// for every value — the schedule is deterministic by construction.
-    /// Single-cluster machines ignore it and stay on the sequential
-    /// event loop.
+    /// Accepts only `1`: every run executes in the calling thread,
+    /// multi-cluster machines on the windowed per-cluster engine and
+    /// single-cluster machines on the sequential event loop.
+    /// [`try_run_workload`] refuses any other value. Retained only for
+    /// the call in `perfbench/src/stages.rs`; delete it together with
+    /// that call.
     pub engine_shards: usize,
 }
 
@@ -233,7 +219,6 @@ impl<W: Workload> std::fmt::Debug for PipelineConfig<W> {
             .field("horizon", &self.horizon)
             .field("preflight", &self.preflight)
             .field("faults", &self.faults)
-            .field("shards", &self.shards)
             .field("engine_shards", &self.engine_shards)
             .finish()
     }
@@ -274,7 +259,6 @@ impl<W: Workload> PipelineConfig<W> {
             horizon: SimTime::from_secs(3_600),
             preflight: Preflight::off(),
             faults: FaultConfig::default(),
-            shards: 1,
             engine_shards: 1,
         }
     }
@@ -284,10 +268,7 @@ impl<W: Workload> PipelineConfig<W> {
     /// artifact provenance. The pre-flight policy is excluded: it
     /// carries function pointers whose addresses vary between builds,
     /// and it does not change the measured behaviour under
-    /// `Off`/`Warn`. The monitor and engine shard counts are also
-    /// excluded: every shard count produces a bit-identical
-    /// measurement, so runs at different counts are comparable by
-    /// construction. A no-op fault configuration is excluded too, so
+    /// `Off`/`Warn`. A no-op fault configuration is excluded too, so
     /// fingerprints of un-faulted runs are stable across versions that
     /// predate the fault layer.
     pub fn fingerprint(&self) -> u64 {
@@ -391,15 +372,11 @@ impl From<PreflightDenied> for PipelineError {
 pub fn try_run_workload<W: Workload>(
     cfg: PipelineConfig<W>,
 ) -> Result<PipelineResult<W>, PipelineError> {
-    if cfg.shards == 0 {
-        return Err(PipelineError::Invalid(
-            "pipeline needs at least one monitor shard".into(),
-        ));
-    }
-    if cfg.engine_shards == 0 {
-        return Err(PipelineError::Invalid(
-            "pipeline needs at least one engine shard".into(),
-        ));
+    if cfg.engine_shards != 1 {
+        return Err(PipelineError::Invalid(format!(
+            "engine_shards must be 1, got {}: the threaded engine was removed",
+            cfg.engine_shards
+        )));
     }
     if let Err(e) = cfg.faults.validate() {
         return Err(PipelineError::Invalid(format!(
@@ -432,14 +409,12 @@ pub fn try_run_workload<W: Workload>(
     machine_cfg.deferred_display = true;
     let mut machine = Machine::new(machine_cfg, cfg.seed)
         .map_err(|e| PipelineError::Invalid(format!("invalid machine configuration: {e:?}")))?;
-    machine.set_engine_shards(cfg.engine_shards);
 
     let harvest = cfg.workload.launch(&mut machine);
     let channels = cfg.workload.channels(&machine);
     let monitor = cfg.zm4.build(channels, cfg.seed);
 
-    let (outcome, measurement) =
-        run_monitored(&mut machine, &monitor, cfg.shards, cfg.horizon, cfg.faults);
+    let (outcome, measurement) = run_monitored(&mut machine, &monitor, cfg.horizon, cfg.faults);
     let trace = to_simple_trace(&measurement);
 
     let output = harvest(&machine);
@@ -458,9 +433,8 @@ pub fn try_run_workload<W: Workload>(
 }
 
 /// Kernel events handled between monitor-plane drains. Large enough
-/// that the per-window work (a callback, and a channel send per shard
-/// when threaded) is noise; small enough that the emission buffer stays
-/// small and threaded shards stay busy while the kernel runs.
+/// that the per-window callback is noise; small enough that the
+/// emission buffer stays small.
 const OBSERVE_WINDOW_EVENTS: u64 = 8_192;
 
 /// The monitor plane, streamed: the kernel defers display
@@ -468,81 +442,38 @@ const OBSERVE_WINDOW_EVENTS: u64 = 8_192;
 /// [`OBSERVE_WINDOW_EVENTS`] kernel events (one epoch on a
 /// multi-cluster machine) the drained records are expanded into probe
 /// samples, passed through the fault layer, and fed to the ZM4's
-/// observer shards. The display log is never stored or sorted.
+/// observer in the calling thread. The display log is never stored or
+/// sorted.
 ///
 /// Streaming is bit-identical to observing the materialized, sorted
 /// log: the ZM4 needs only per-channel time order (detection is per
 /// channel, recording sorts by `(time, channel)`, the CEC merge is
 /// global), and the kernel's per-node display serializer hands each
 /// node's emissions over in push order with strictly increasing,
-/// non-overlapping writes.
-///
-/// One observer shard (the default, or a monitor with one recorder)
-/// runs in the calling thread. Two or more fan the records out to
-/// worker threads, released in watermarked windows so the shards
-/// overlap with the simulation.
+/// non-overlapping writes. Fault verdicts are pure per sample, so feed
+/// order cannot move a fault.
 fn run_monitored(
     machine: &mut Machine,
     monitor: &zm4::Zm4,
-    shards: usize,
     horizon: SimTime,
     faults: FaultConfig,
 ) -> (RunOutcome, Measurement) {
-    let mut observers = monitor.shard_observers(shards);
-    if let [obs] = observers.as_mut_slice() {
-        let outcome = machine.run_observed(horizon, OBSERVE_WINDOW_EVENTS, |_now, emissions| {
-            for rec in emissions.drain(..) {
-                feed_emission(obs, &rec, faults);
-            }
-        });
-        return (outcome, monitor.assemble(observers));
-    }
-
-    // Channel (= node index) → stream shard routing.
-    let mut shard_of = vec![0usize; monitor.channels()];
-    for (i, obs) in observers.iter().enumerate() {
-        for ch in obs.channels() {
-            shard_of[ch] = i;
-        }
-    }
-    let mut stream = des::shard::ShardStream::spawn(
-        observers,
-        move |obs: &mut zm4::ObserverShard, _shard, _at, rec: EmissionRecord| {
-            feed_emission(obs, &rec, faults);
-        },
-    );
-    let outcome = machine.run_observed(horizon, OBSERVE_WINDOW_EVENTS, |now, emissions| {
+    let mut observer = monitor.observer();
+    let outcome = machine.run_observed(horizon, OBSERVE_WINDOW_EVENTS, |_now, emissions| {
         for rec in emissions.drain(..) {
-            // Safe by the kernel's watermark guarantee: every emission
-            // recorded after the previous window's release lies strictly
-            // after that watermark.
-            stream.push(
-                shard_of[rec.node.index() as usize],
-                rec.first_write_at(),
-                rec,
-            );
+            for w in rec.writes() {
+                let sample = ProbeSample {
+                    time: w.time,
+                    channel: w.node.index() as usize,
+                    pattern: w.pattern,
+                };
+                if let Some(sample) = faults.apply(sample) {
+                    observer.feed(sample);
+                }
+            }
         }
-        stream.release(now);
     });
-    let measurement = monitor.assemble(stream.finish());
-    (outcome, measurement)
-}
-
-/// Expands one compact emission into its probe samples (channel = node
-/// index) and feeds those the fault layer keeps to `obs`. Fault
-/// verdicts are pure per sample, so neither shard routing nor feed
-/// order can move a fault.
-fn feed_emission(obs: &mut zm4::ObserverShard, rec: &EmissionRecord, faults: FaultConfig) {
-    for w in rec.writes() {
-        let sample = ProbeSample {
-            time: w.time,
-            channel: w.node.index() as usize,
-            pattern: w.pattern,
-        };
-        if let Some(sample) = faults.apply(sample) {
-            obs.feed(sample);
-        }
-    }
+    (outcome, observer.finish())
 }
 
 /// Runs one full measurement.
@@ -594,81 +525,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_is_refused() {
-        let mut cfg = PipelineConfig::new(jacobi::JacobiConfig::default());
-        cfg.shards = 0;
-        let err = try_run_workload(cfg).unwrap_err();
-        assert!(err.to_string().contains("shard"));
-    }
-
-    #[test]
     fn zero_engine_shards_is_refused() {
-        let mut cfg = PipelineConfig::new(jacobi::JacobiConfig::default());
-        cfg.engine_shards = 0;
-        let err = try_run_workload(cfg).unwrap_err();
-        assert!(err.to_string().contains("engine shard"));
-    }
-
-    #[test]
-    fn fingerprint_ignores_shard_counts() {
-        let a = PipelineConfig::new(jacobi::JacobiConfig::default());
-        let mut b = a.clone();
-        b.shards = 4;
-        b.engine_shards = 8;
-        assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn multi_cluster_runs_are_identical_for_every_engine_shard_count() {
-        // 20 workers + coordinator → 21 nodes → two 16-node clusters:
-        // the kernel partitions per cluster and exchanges boundaries
-        // over the simulated token ring. `engine_shards` only packs the
-        // cluster shards onto worker threads, so every count must
-        // reproduce the same run bit for bit.
-        let base = PipelineConfig::new(jacobi::JacobiConfig {
-            workers: 20,
-            iterations: 4,
-            ..jacobi::JacobiConfig::default()
-        });
-        let reference = run_workload(base.clone());
-        assert!(reference.completed());
-        assert!(!reference.measurement.trace.is_empty());
-
-        for engine_shards in [2, 3, 8] {
-            let mut cfg = base.clone();
+        for engine_shards in [0, 2] {
+            let mut cfg = PipelineConfig::new(jacobi::JacobiConfig::default());
             cfg.engine_shards = engine_shards;
-            let run = run_workload(cfg);
-            assert_eq!(run.outcome, reference.outcome, "{engine_shards} shards");
-            assert_eq!(
-                run.measurement.trace, reference.measurement.trace,
-                "{engine_shards} shards"
+            let err = try_run_workload(cfg).unwrap_err();
+            assert!(matches!(err, PipelineError::Invalid(_)));
+            assert!(
+                err.to_string().contains("the threaded engine was removed"),
+                "{engine_shards}: {err}"
             );
-            assert_eq!(run.trace, reference.trace, "{engine_shards} shards");
-            assert_eq!(
-                run.output.max_error, reference.output.max_error,
-                "{engine_shards} shards"
-            );
-            assert_eq!(run.intrusion, reference.intrusion, "{engine_shards} shards");
         }
-    }
-
-    #[test]
-    fn engine_and_monitor_shards_compose() {
-        let base = PipelineConfig::new(jacobi::JacobiConfig {
-            workers: 18,
-            iterations: 3,
-            ..jacobi::JacobiConfig::default()
-        });
-        let reference = run_workload(base.clone());
-        assert!(reference.completed());
-        let mut cfg = base;
-        cfg.shards = 2;
-        cfg.engine_shards = 2;
-        let run = run_workload(cfg);
-        assert_eq!(run.outcome, reference.outcome);
-        assert_eq!(run.measurement.trace, reference.measurement.trace);
-        assert_eq!(run.trace, reference.trace);
-        assert_eq!(run.intrusion, reference.intrusion);
     }
 
     #[test]
@@ -676,8 +543,8 @@ mod tests {
         // The scaling sweep's jacobi-n64 shape: 63 workers + coordinator
         // over four clusters. The profile is deterministic, so this is a
         // regression gate on the engine's load distribution — the events
-        // must actually spread across clusters, or the parallel engine
-        // has nothing to win.
+        // must actually spread across clusters, or the windowed engine
+        // records no available parallelism.
         let cfg = PipelineConfig::new(jacobi::JacobiConfig {
             workers: 63,
             cells_per_worker: 48,
@@ -722,47 +589,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_match_the_one_shard_run_bit_for_bit() {
-        // Every shard count streams the same emissions; the threaded
-        // shards must reproduce the in-thread observer exactly. (The
-        // materialized oracle is checked in tests/streamed_monitor.rs.)
-        let base = PipelineConfig::new(jacobi::JacobiConfig {
-            workers: 5,
-            iterations: 6,
-            ..jacobi::JacobiConfig::default()
-        });
-        let reference = run_workload(base.clone());
-        assert!(reference.completed());
-        assert!(!reference.measurement.trace.is_empty());
-
-        for shards in 2..=4 {
-            let mut cfg = base.clone();
-            cfg.shards = shards;
-            let sharded = run_workload(cfg);
-            assert_eq!(sharded.outcome, reference.outcome, "{shards} shards");
-            assert_eq!(
-                sharded.measurement.trace, reference.measurement.trace,
-                "{shards} shards"
-            );
-            assert_eq!(
-                sharded.measurement.recorder_stats, reference.measurement.recorder_stats,
-                "{shards} shards"
-            );
-            assert_eq!(
-                sharded.measurement.detector_stats, reference.measurement.detector_stats,
-                "{shards} shards"
-            );
-            assert_eq!(sharded.trace, reference.trace, "{shards} shards");
-            assert_eq!(
-                sharded.output.max_error, reference.output.max_error,
-                "{shards} shards"
-            );
-            assert_eq!(sharded.intrusion, reference.intrusion, "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn fault_injection_perturbs_only_the_measurement_and_is_shard_invariant() {
+    fn fault_injection_perturbs_only_the_measurement() {
         let mut base = PipelineConfig::new(jacobi::JacobiConfig {
             workers: 5,
             iterations: 6,
@@ -788,17 +615,11 @@ mod tests {
             faulted.measurement.trace, clean.measurement.trace,
             "faults must perturb the measurement"
         );
-        // Deterministic per seed and identical across shard counts.
-        for (shards, engine_shards) in [(1, 1), (2, 1), (3, 1)] {
-            let mut cfg = base.clone();
-            cfg.shards = shards;
-            cfg.engine_shards = engine_shards;
-            let run = run_workload(cfg);
-            assert_eq!(
-                run.measurement.trace, faulted.measurement.trace,
-                "{shards} monitor shards"
-            );
-        }
+        // Deterministic per seed.
+        assert_eq!(
+            run_workload(base.clone()).measurement.trace,
+            faulted.measurement.trace
+        );
         // A different fault seed moves the fault sites.
         let mut reseeded = base.clone();
         reseeded.faults.seed = 8;
@@ -818,21 +639,5 @@ mod tests {
         let mut clean = cfg.clone();
         clean.faults = FaultConfig::default();
         clean.fingerprint()
-    }
-
-    #[test]
-    fn shard_counts_beyond_recorders_still_work() {
-        let base = PipelineConfig::new(jacobi::JacobiConfig {
-            workers: 3,
-            iterations: 4,
-            ..jacobi::JacobiConfig::default()
-        });
-        let reference = run_workload(base.clone());
-        // 4 nodes → 1 recorder → the shard count clips to 1 observer.
-        let mut cfg = base;
-        cfg.shards = 16;
-        let sharded = run_workload(cfg);
-        assert_eq!(sharded.measurement.trace, reference.measurement.trace);
-        assert_eq!(sharded.outcome, reference.outcome);
     }
 }

@@ -108,9 +108,9 @@ pub struct AppStats {
 
 /// Shared mutable application state.
 ///
-/// Backed by a mutex so process bodies stay `Send` when the engine runs
-/// cluster shards on worker threads. Within one shard the simulation is
-/// still sequential, so the lock is uncontended; the `borrow` /
+/// Backed by a mutex so process bodies satisfy [`suprenum::Process`]'s
+/// `Send` bound. Every run executes in one thread, so the lock is
+/// uncontended; the `borrow` /
 /// `borrow_mut` names are kept because the access discipline is the
 /// same one `RefCell` enforced. Guards must not overlap — a nested
 /// borrow deadlocks where `RefCell` would have panicked.

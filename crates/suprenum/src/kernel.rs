@@ -25,7 +25,7 @@
 //! V.24 interface, software monitoring appends to a node-local buffer
 //! stamped with the node's skewed local clock.
 //!
-//! # Parallel event execution
+//! # Windowed event execution
 //!
 //! Kernel state is split into one `Partition` (private) per cluster. Each
 //! partition owns its nodes' LWPs, mailboxes, cluster-bus rails and the
@@ -36,14 +36,13 @@
 //! inter-cluster delivery. That bound is exactly the conservative
 //! lookahead a [`des::shard::ShardedEventLoop`] needs: multi-cluster
 //! machines run one engine shard per cluster, synchronizing only at
-//! lookahead-wide window boundaries.
+//! lookahead-wide window boundaries. Every window runs in the calling
+//! thread; the per-cluster decomposition fixes the logical schedule and
+//! [`Machine::engine_profile`] records the parallelism it makes
+//! available.
 //!
 //! Single-cluster machines keep the plain sequential [`EventLoop`], so
-//! their traces are bit-for-bit what they always were. For multi-cluster
-//! machines the *logical* schedule is fixed by the cluster decomposition;
-//! [`Machine::set_engine_shards`] only chooses how many worker threads
-//! the per-cluster shards are packed onto, which cannot change any
-//! digest.
+//! their traces are bit-for-bit what they always were.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, RwLock};
@@ -222,10 +221,9 @@ pub struct EngineProfile {
 }
 
 impl EngineProfile {
-    /// Total events / busiest shard's events — the upper bound on the
-    /// speedup any worker-thread packing could extract from this run's
-    /// event distribution (ignores windowing granularity, so the real
-    /// bound is tighter).
+    /// Total events / busiest shard's events — records the available
+    /// parallelism of this run's event distribution (ignores windowing
+    /// granularity, so the real bound is tighter).
     pub fn balance_bound(&self) -> f64 {
         let total: u64 = self.shard_events.iter().sum();
         let max = self.shard_events.iter().copied().max().unwrap_or(0);
@@ -382,7 +380,7 @@ impl Sched for SeqSched<'_> {
     }
 }
 
-/// [`Sched`] over one shard of the conservative parallel engine.
+/// [`Sched`] over one shard of the conservative windowed engine.
 struct ShardSched<'a, 'b> {
     ctx: &'a mut ShardCtx<'b, Ev>,
 }
@@ -1497,9 +1495,6 @@ pub struct Machine {
     topo: Topology,
     parts: Vec<Partition>,
     engine: Engine,
-    /// Worker threads the per-cluster engine shards are packed onto
-    /// (presentation only — never affects the logical schedule).
-    engine_shards: usize,
     /// Emissions collected from all partitions at epoch barriers,
     /// in cluster-major epoch order (the multi-cluster analogue of a
     /// partition's `deferred` buffer).
@@ -1606,7 +1601,6 @@ impl Machine {
             topo,
             parts,
             engine,
-            engine_shards: 1,
             drain: Vec::new(),
             last_end: SimTime::ZERO,
             initial: None,
@@ -1652,26 +1646,26 @@ impl Machine {
         pid
     }
 
-    /// Sets how many worker threads a multi-cluster machine's engine
-    /// shards are packed onto. The logical shards are always the
-    /// clusters; this only controls physical parallelism, so traces are
-    /// bit-identical for every value. One thread (the default) runs the
-    /// windowed algorithm inline; single-cluster machines ignore this
-    /// and stay on the plain sequential loop.
+    /// Accepts only `1`: every run executes in the calling thread.
+    /// Retained only for the call in `perfbench/src/stages.rs`; delete
+    /// it together with that call.
     ///
     /// # Panics
     ///
-    /// Panics if `shards` is zero.
+    /// Panics if `shards` is not 1 — the threaded engine was removed.
     pub fn set_engine_shards(&mut self, shards: usize) {
-        assert!(shards >= 1, "engine shards must be nonzero");
-        self.engine_shards = shards;
+        assert_eq!(
+            shards, 1,
+            "engine shards must be 1: the threaded engine was removed"
+        );
     }
 
     /// The sharded engine's execution profile — `None` on a
     /// single-cluster machine, which runs the plain sequential loop.
     /// Available after (or during) a run; all counters are
     /// deterministic, so the profile is part of the reproducible
-    /// record of a shape, not a wall-clock measurement.
+    /// record of a shape (the parallelism its event distribution makes
+    /// available), not a wall-clock measurement.
     pub fn engine_profile(&self) -> Option<EngineProfile> {
         match &self.engine {
             Engine::Seq(_) => None,
@@ -1714,7 +1708,7 @@ impl Machine {
     /// observe the run in flight: `on_window(now, emissions)` receives
     /// the current simulated time and the deferred-emission buffer (see
     /// [`MachineConfig::deferred_display`]), which it may drain — e.g.
-    /// into monitor shards, releasing their streams up to `now`.
+    /// into a monitor observer, feeding it everything up to `now`.
     ///
     /// The watermark guarantee: every emission recorded *after* a
     /// callback at time `now` has all its display writes strictly later
@@ -1803,7 +1797,7 @@ impl Machine {
     }
 
     /// Runs the sharded engine: every partition advances in lockstep
-    /// lookahead windows, `engine_shards` worker threads wide. Each
+    /// lookahead windows, in the calling thread. Each
     /// epoch barrier collects the partitions' deferred emissions into
     /// the machine-level drain (cluster order) and, when observing,
     /// fires the window callback with the epoch watermark.
@@ -1817,18 +1811,16 @@ impl Machine {
             !self.merged,
             "a multi-cluster machine cannot run again after it finished"
         );
-        let threads = self.engine_shards;
         let Engine::Sharded(eng) = &mut self.engine else {
             unreachable!("run_multi on a sequential engine");
         };
         let parts = &mut self.parts;
         let drain = &mut self.drain;
         let mut last_wm = self.last_end;
-        let stop = eng.run_threaded(
+        let stop = eng.run_epochs(
             parts,
             horizon,
             max_events,
-            threads,
             |part: &mut Partition, ctx, _now, ev| part.handle(&mut ShardSched { ctx }, ev),
             |part: &mut Partition| std::mem::take(&mut part.deferred),
             |watermark, collected: Vec<Vec<EmissionRecord>>| {

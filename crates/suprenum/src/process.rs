@@ -163,11 +163,11 @@ pub enum Action {
 /// other process runs on that node unless the action blocks — matching
 /// SUPRENUM's non-preemptive scheduling.
 ///
-/// Bodies must be `Send`: when a machine spans multiple clusters, each
-/// cluster's processes execute on an engine-shard worker thread, and
-/// remote spawns carry the boxed body across the shard boundary. Within
-/// one cluster execution remains strictly sequential, so `Sync` is not
-/// required and per-process interior mutability needs no locking.
+/// Bodies must be `Send`, a bound that dates from a threaded engine:
+/// every run now executes in one thread, and remote spawns carry the
+/// boxed body across the cluster-partition boundary within it. `Sync`
+/// is not required and per-process interior mutability needs no
+/// locking.
 pub trait Process: Send {
     /// Advances the process and returns its next action.
     fn resume(&mut self, ctx: &ProcCtx, why: Resume) -> Action;

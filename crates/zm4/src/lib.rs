@@ -51,20 +51,19 @@ pub mod config;
 pub mod detector;
 pub mod dpu;
 pub mod measurement;
+pub mod observer;
 pub mod recorder;
 pub mod serial;
-pub mod sharded;
 
 pub use cec::merge_traces;
 pub use config::Zm4Config;
 pub use detector::{DetectedEvent, EventDetector, ProbeSample};
 pub use dpu::Dpu;
 pub use measurement::{Measurement, TraceRecord};
+pub use observer::Observer;
 pub use recorder::{DigestSink, EventRecorder, RecordSink, RecorderStats, StoredRecord};
 pub use serial::{detect_serial, SerialProbe, SerialSample};
-pub use sharded::ObserverShard;
 
-use des::rng::DetRng;
 use des::time::SimTime;
 
 /// The assembled monitor system: one probe/detector per monitored
@@ -173,7 +172,7 @@ impl Zm4 {
     /// Runs the measurement over a streamed sample sequence in a single
     /// pass: no sample is retained, partitioned, or copied. Detected
     /// events flow straight from each channel's detector into its
-    /// recorder's DPU queue.
+    /// recorder's DPU queue (see [`Zm4::observer`]).
     ///
     /// Each channel's subsequence must be in non-decreasing time order
     /// (channels may interleave arbitrarily); [`Zm4::observe`] falls
@@ -187,43 +186,10 @@ impl Zm4 {
     where
         I: IntoIterator<Item = ProbeSample>,
     {
-        let rng = DetRng::new(self.config.seed);
-        let n_rec = self.recorders();
-
-        // Build one DPU pipeline per recorder, serving its channels.
-        let mut dpus: Vec<Dpu> = (0..n_rec)
-            .map(|i| Dpu::new(i, &self.config, &rng))
-            .collect();
-        let mut detectors: Vec<EventDetector> = (0..self.channels)
-            .map(|ch| EventDetector::new(ch, self.config.detector_latency))
-            .collect();
-
+        let mut observer = self.observer();
         for s in samples {
-            assert!(
-                s.channel < self.channels,
-                "sample for unwired channel {}",
-                s.channel
-            );
-            if let Some(event) = detectors[s.channel].feed(s) {
-                dpus[self.recorder_of(s.channel)].queue_event(event);
-            }
+            observer.feed(s);
         }
-
-        let detector_stats = detectors.into_iter().map(|d| d.into_stats()).collect();
-
-        let mut local_traces = Vec::with_capacity(n_rec);
-        let mut recorder_stats = Vec::with_capacity(n_rec);
-        for dpu in dpus {
-            let (stored, stats) = dpu.record();
-            local_traces.push(stored);
-            recorder_stats.push(stats);
-        }
-
-        let trace = merge_traces(&local_traces);
-        Measurement {
-            trace,
-            recorder_stats,
-            detector_stats,
-        }
+        observer.finish()
     }
 }

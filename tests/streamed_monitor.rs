@@ -26,7 +26,6 @@ fn materialized<W: Workload>(cfg: &PipelineConfig<W>) -> (RunOutcome, Measuremen
         machine_cfg.kernel_instrumentation = true;
     }
     let mut machine = Machine::new(machine_cfg, cfg.seed).expect("valid machine");
-    machine.set_engine_shards(cfg.engine_shards);
     let _harvest = cfg.workload.launch(&mut machine);
     let outcome = machine.run(cfg.horizon);
     let monitor = cfg.zm4.build(cfg.workload.channels(&machine), cfg.seed);
@@ -148,20 +147,10 @@ fn faulted_probes_stream_like_the_materialized_log() {
 #[test]
 fn multi_cluster_jacobi_streams_like_the_materialized_log() {
     // 20 workers + coordinator span two 16-node clusters.
-    let base = PipelineConfig::new(JacobiConfig {
+    let cfg = PipelineConfig::new(JacobiConfig {
         workers: 20,
         iterations: 4,
         ..JacobiConfig::default()
     });
-    for engine_shards in [1, 2] {
-        for shards in [1, 2] {
-            let mut cfg = base.clone();
-            cfg.engine_shards = engine_shards;
-            cfg.shards = shards;
-            assert_matches_oracle(
-                &format!("jacobi engine_shards={engine_shards} shards={shards}"),
-                cfg,
-            );
-        }
-    }
+    assert_matches_oracle("jacobi two-cluster", cfg);
 }
