@@ -8,10 +8,14 @@
 //!   and horizon-spanning delays;
 //! * hybridmon encode → decode round trips;
 //! * recorder ingest into a `Vec` sink vs the incremental `DigestSink`;
-//! * monitor ingest: compact kernel `EmissionRecord`s expanded into
-//!   probe samples and fed to the ZM4 `Observer` (the pipeline's
-//!   streamed monitor plane), next to `Zm4::observe_iter` over the same
-//!   samples pre-expanded. Throughput is per emission (32 samples each).
+//! * monitor ingest over the same compact kernel `EmissionRecord`s,
+//!   three ways: each record handed whole to `Observer::feed_emission`
+//!   (the pipeline's fault-free monitor plane: one detected event per
+//!   emission, no pattern expanded); each record expanded into its 32
+//!   probe samples and fed to `Observer::feed` (the pattern path the
+//!   pipeline takes under probe faults, minus the fault layer); and
+//!   `Zm4::observe_iter` over the same samples pre-expanded. Throughput
+//!   is per emission.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use suprenum_monitor::des::clock::ClockModel;
@@ -176,8 +180,8 @@ fn bench_recorder_sinks(c: &mut Criterion) {
 }
 
 /// Expands one emission into its probe samples and feeds them, as the
-/// pipeline's monitor plane does (minus the no-op fault layer).
-fn feed_emission(observer: &mut Observer, rec: &EmissionRecord) {
+/// pipeline's monitor plane does under probe faults (minus the faults).
+fn feed_expanded(observer: &mut Observer, rec: &EmissionRecord) {
     for w in rec.writes() {
         observer.feed(ProbeSample {
             time: w.time,
@@ -224,10 +228,20 @@ fn bench_monitor_ingest(c: &mut Criterion) {
         })
         .collect();
     let zm4 = Zm4::new(Zm4Config::default(), usize::from(CHANNELS), 1992);
-    // Both paths must measure the same thing before they are timed.
+    // Hands one emission to the observer whole, as the pipeline's
+    // fault-free monitor plane does.
+    let feed_whole = |observer: &mut Observer, rec: &EmissionRecord| {
+        observer.feed_emission(
+            rec.node.index() as usize,
+            rec.first_write_at(),
+            rec.spacing,
+            rec.event(),
+        );
+    };
+    // All three paths must measure the same thing before they are timed.
     let mut observer = zm4.observer();
     for rec in &records {
-        feed_emission(&mut observer, rec);
+        feed_expanded(&mut observer, rec);
     }
     let streamed = observer.finish();
     assert_eq!(streamed.trace.len(), EMISSIONS as usize);
@@ -235,12 +249,30 @@ fn bench_monitor_ingest(c: &mut Criterion) {
         streamed.trace,
         zm4.observe_iter(samples.iter().copied()).trace
     );
+    let mut observer = zm4.observer();
+    for rec in &records {
+        feed_whole(&mut observer, rec);
+    }
+    assert_eq!(observer.ingest_counts().event_path, EMISSIONS);
+    let granular = observer.finish();
+    assert_eq!(granular.trace, streamed.trace);
+    assert_eq!(granular.detector_stats, streamed.detector_stats);
+    assert_eq!(granular.recorder_stats, streamed.recorder_stats);
 
     g.bench_function("observer_feed_from_emissions", |b| {
         b.iter(|| {
             let mut observer = zm4.observer();
             for rec in &records {
-                feed_emission(&mut observer, rec);
+                feed_expanded(&mut observer, rec);
+            }
+            black_box(observer.finish())
+        });
+    });
+    g.bench_function("observer_feed_event_granular", |b| {
+        b.iter(|| {
+            let mut observer = zm4.observer();
+            for rec in &records {
+                feed_whole(&mut observer, black_box(rec));
             }
             black_box(observer.finish())
         });

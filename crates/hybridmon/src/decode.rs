@@ -131,6 +131,26 @@ impl Decoder {
         }
     }
 
+    /// Accounts one complete, clean event without feeding its patterns:
+    /// on an idle decoder, the 32 patterns of [`encode`](crate::encode::encode)
+    /// fed back to back decode to exactly the event they encode, touch
+    /// no counter but [`DecodeStats::events`] and leave the decoder idle.
+    /// This is that state change, for a caller that already holds the
+    /// event (the ZM4's event-granular ingest).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event is partially assembled: the patterns would
+    /// then not decode cleanly, so they must be fed one by one.
+    #[inline]
+    pub fn account_event(&mut self) {
+        assert!(
+            !self.in_progress(),
+            "a clean event can only be accounted on an idle decoder"
+        );
+        self.stats.events += 1;
+    }
+
     /// Decodes a whole pattern sequence, returning every completed event.
     pub fn feed_all<I>(&mut self, patterns: I) -> Vec<MonEvent>
     where
@@ -241,6 +261,42 @@ mod tests {
         // Now a data pattern is accepted as part of the new pair.
         assert_eq!(d.feed(Pattern::data(3)), None);
         assert!(d.in_progress());
+    }
+
+    #[test]
+    fn accounting_an_event_equals_feeding_its_patterns_from_idle() {
+        // From a fresh decoder and from one with history (stray
+        // traffic, a discarded partial, a decoded event) but idle again.
+        let mut warm = Decoder::new();
+        warm.feed(firmware(3));
+        warm.feed(Pattern::TRIGGER);
+        warm.feed(Pattern::data(5));
+        warm.feed(Pattern::TRIGGER);
+        warm.feed(firmware(1));
+        warm.feed_all(encode(MonEvent::new(4, 4)));
+        assert!(!warm.in_progress());
+        for start in [Decoder::new(), warm] {
+            for ev in [MonEvent::new(0, 0), MonEvent::new(0xFFFF, u32::MAX)] {
+                let mut fed = start;
+                assert_eq!(fed.feed_all(encode(ev)), vec![ev]);
+                let mut accounted = start;
+                accounted.account_event();
+                assert_eq!(accounted.stats(), fed.stats());
+                assert_eq!(accounted.in_progress(), fed.in_progress());
+                // Both decode the next event identically.
+                let next = MonEvent::new(7, 7);
+                assert_eq!(accounted.feed_all(encode(next)), fed.feed_all(encode(next)));
+                assert_eq!(accounted.stats(), fed.stats());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "idle decoder")]
+    fn accounting_an_event_mid_event_panics() {
+        let mut d = Decoder::new();
+        d.feed(Pattern::TRIGGER);
+        d.account_event();
     }
 
     #[test]

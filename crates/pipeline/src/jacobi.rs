@@ -20,7 +20,9 @@
 //! sweep records — applies unchanged; [`run_jacobi`] remains as the
 //! one-call convenience wrapper.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 use des::time::SimDuration;
 use simple::{ActivityModel, Trace};
@@ -120,7 +122,7 @@ impl Workload for JacobiConfig {
     fn launch(&self, machine: &mut Machine) -> Harvest<JacobiOutput> {
         let n = self.workers as usize * self.cells_per_worker as usize;
         let cfg = Arc::new(self.clone());
-        let solution = Arc::new(Mutex::new(vec![0.0f64; n]));
+        let solution = Rc::new(RefCell::new(vec![0.0f64; n]));
         machine.add_process(
             NodeId::new(0),
             Box::new(Coordinator {
@@ -133,7 +135,7 @@ impl Workload for JacobiConfig {
             }),
         );
         Box::new(move |_machine| {
-            let solution = solution.lock().unwrap().clone();
+            let solution = solution.take();
             let reference = sequential_reference(&cfg);
             let max_error = solution
                 .iter()
@@ -464,7 +466,7 @@ impl Process for Worker {
 struct Coordinator {
     cfg: Arc<JacobiConfig>,
     peers: Vec<ProcessId>,
-    solution: Arc<Mutex<Vec<f64>>>,
+    solution: Rc<RefCell<Vec<f64>>>,
     spawned: u16,
     started: u16,
     reports: u16,
@@ -504,7 +506,7 @@ impl Process for Coordinator {
             Resume::MailboxMsg(msg) => {
                 let report = msg.payload::<StripReport>().expect("strip report").clone();
                 let base = report.index as usize * self.cfg.cells_per_worker as usize;
-                let mut solution = self.solution.lock().unwrap();
+                let mut solution = self.solution.borrow_mut();
                 solution[base..base + report.cells.len()].copy_from_slice(&report.cells);
                 self.reports += 1;
             }

@@ -67,6 +67,7 @@ pub struct JobRun {
 }
 
 type Exec = dyn Fn(ExecOverrides) -> Result<JobRun, PreflightDenied> + Send + Sync;
+type Fingerprint = dyn Fn() -> u64 + Send + Sync;
 
 /// One configured measurement run with its workload type erased.
 ///
@@ -77,7 +78,10 @@ type Exec = dyn Fn(ExecOverrides) -> Result<JobRun, PreflightDenied> + Send + Sy
 pub struct Job {
     workload_id: &'static str,
     seed: u64,
-    fingerprint: u64,
+    /// Computed when asked for, not when the job is built: it formats
+    /// the whole configuration, which costs more than everything else
+    /// building a sweep does.
+    fingerprint: Arc<Fingerprint>,
     horizon: Option<SimTime>,
     scheduler: Option<SchedulerKind>,
     faults: Option<FaultConfig>,
@@ -89,7 +93,7 @@ impl std::fmt::Debug for Job {
         f.debug_struct("Job")
             .field("workload_id", &self.workload_id)
             .field("seed", &self.seed)
-            .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
+            .field("fingerprint", &format_args!("{}", self.fingerprint()))
             .field("horizon", &self.horizon)
             .finish_non_exhaustive()
     }
@@ -100,9 +104,11 @@ impl Job {
     pub fn new<W: Workload>(cfg: PipelineConfig<W>) -> Job {
         let workload_id = cfg.workload.id();
         let seed = cfg.seed;
-        let fingerprint = cfg.fingerprint();
+        let cfg = Arc::new(cfg);
+        let frozen = Arc::clone(&cfg);
+        let fingerprint = Arc::new(move || frozen.fingerprint());
         let exec = Arc::new(move |ov: ExecOverrides| {
-            let mut cfg = cfg.clone();
+            let mut cfg = PipelineConfig::clone(&cfg);
             if let Some(mode) = ov.policy {
                 cfg.preflight.mode = mode;
             }
@@ -161,7 +167,7 @@ impl Job {
     /// Hex-encoded configuration fingerprint (see
     /// [`PipelineConfig::fingerprint`]).
     pub fn fingerprint(&self) -> String {
-        format!("{:016x}", self.fingerprint)
+        format!("{:016x}", (self.fingerprint)())
     }
 
     /// Caps this job's simulated-time budget for every subsequent

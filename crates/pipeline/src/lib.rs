@@ -13,8 +13,8 @@
 //!   application-level output back out of the run;
 //! * [`run_workload`] owns everything that is *not* the application:
 //!   the pre-flight analysis seam, machine sizing and validation, the
-//!   streamed monitor plane (compact kernel emissions expanded straight
-//!   into the ZM4's detectors, never stored), SIMPLE trace conversion,
+//!   streamed monitor plane (compact kernel emissions handed to the
+//!   ZM4's detectors as whole events, never stored), SIMPLE trace conversion,
 //!   truncation handling, and intrusion accounting;
 //! * [`Job`] erases the workload type so a sweep harness can mix
 //!   ray-tracer and Jacobi runs (or anything else) in one queue without
@@ -47,7 +47,7 @@ use des::time::SimTime;
 use hybridmon::IntrusionReport;
 use simple::Trace;
 use suprenum::{Machine, MachineConfig, RunEnd, RunOutcome};
-use zm4::{Measurement, ProbeSample, Zm4Config};
+use zm4::{IngestCounts, Measurement, ProbeSample, Zm4Config};
 
 pub mod fault;
 pub mod jacobi;
@@ -301,6 +301,12 @@ pub struct PipelineResult<W: Workload> {
     pub outcome: RunOutcome,
     /// The ZM4 measurement (merged trace + recorder/detector stats).
     pub measurement: Measurement,
+    /// How many kernel emissions the monitor plane ingested as whole
+    /// events and how many pattern by pattern (see [`IngestCounts`]).
+    /// Fault-free runs take the event path for every emission; faulted
+    /// runs take the pattern path for every one. Kept apart from the
+    /// measurement, which both paths produce bit-identically.
+    pub ingest: IngestCounts,
     /// The merged trace as SIMPLE events (channel = node index).
     pub trace: Trace,
     /// The workload's folded output (image, solution, counters, …).
@@ -404,7 +410,7 @@ pub fn try_run_workload<W: Workload>(
         // machine configuration per run.
         machine_cfg.kernel_instrumentation = true;
     }
-    // The kernel records compact emissions; the monitor plane expands
+    // The kernel records compact emissions; the monitor plane ingests
     // them as they are drained, so no display write is ever stored.
     machine_cfg.deferred_display = true;
     let mut machine = Machine::new(machine_cfg, cfg.seed)
@@ -414,7 +420,8 @@ pub fn try_run_workload<W: Workload>(
     let channels = cfg.workload.channels(&machine);
     let monitor = cfg.zm4.build(channels, cfg.seed);
 
-    let (outcome, measurement) = run_monitored(&mut machine, &monitor, cfg.horizon, cfg.faults);
+    let (outcome, measurement, ingest) =
+        run_monitored(&mut machine, &monitor, cfg.horizon, cfg.faults);
     let trace = to_simple_trace(&measurement);
 
     let output = harvest(&machine);
@@ -425,6 +432,7 @@ pub fn try_run_workload<W: Workload>(
         preflight,
         outcome,
         measurement,
+        ingest,
         trace,
         output,
         machine,
@@ -440,40 +448,61 @@ const OBSERVE_WINDOW_EVENTS: u64 = 8_192;
 /// The monitor plane, streamed: the kernel defers display
 /// materialization into compact emission records, and every window of
 /// [`OBSERVE_WINDOW_EVENTS`] kernel events (one epoch on a
-/// multi-cluster machine) the drained records are expanded into probe
-/// samples, passed through the fault layer, and fed to the ZM4's
-/// observer in the calling thread. The display log is never stored or
-/// sorted.
+/// multi-cluster machine) the drained records go to the ZM4's observer
+/// in the calling thread. The display log is never stored or sorted.
 ///
 /// Streaming is bit-identical to observing the materialized, sorted
 /// log: the ZM4 needs only per-channel time order (detection is per
 /// channel, recording sorts by `(time, channel)`, the CEC merge is
 /// global), and the kernel's per-node display serializer hands each
 /// node's emissions over in push order with strictly increasing,
-/// non-overlapping writes. Fault verdicts are pure per sample, so feed
-/// order cannot move a fault.
+/// non-overlapping writes.
+///
+/// A record reaches the observer on one of two paths, chosen by what
+/// the input shows:
+///
+/// * **Event path**, when the fault layer is inactive: each record goes
+///   to [`zm4::Observer::feed_emission`] as `(channel, first write,
+///   spacing, event)`. Nothing else writes to a display, so every
+///   channel's decoder is idle at each emission and takes the event
+///   whole — exactly what its 32 patterns, contiguous on the channel,
+///   would decode to, at the last pattern's time, with the same decode
+///   counters. A decoder found mid-event expands the patterns instead.
+/// * **Pattern path**, when faults are active: each record is expanded
+///   into its probe samples, every sample passes through
+///   [`FaultConfig::apply`] and the survivors are fed one by one. Fault
+///   verdicts are pure per sample, so feed order cannot move a fault.
 fn run_monitored(
     machine: &mut Machine,
     monitor: &zm4::Zm4,
     horizon: SimTime,
     faults: FaultConfig,
-) -> (RunOutcome, Measurement) {
+) -> (RunOutcome, Measurement, IngestCounts) {
     let mut observer = monitor.observer();
     let outcome = machine.run_observed(horizon, OBSERVE_WINDOW_EVENTS, |_now, emissions| {
+        if faults.is_noop() {
+            for rec in emissions.drain(..) {
+                observer.feed_emission(
+                    rec.node.index() as usize,
+                    rec.first_write_at(),
+                    rec.spacing,
+                    rec.event(),
+                );
+            }
+            return;
+        }
         for rec in emissions.drain(..) {
-            for w in rec.writes() {
-                let sample = ProbeSample {
+            observer.feed_expanded_emission(rec.writes().filter_map(|w| {
+                faults.apply(ProbeSample {
                     time: w.time,
                     channel: w.node.index() as usize,
                     pattern: w.pattern,
-                };
-                if let Some(sample) = faults.apply(sample) {
-                    observer.feed(sample);
-                }
-            }
+                })
+            }));
         }
     });
-    (outcome, observer.finish())
+    let ingest = observer.ingest_counts();
+    (outcome, observer.finish(), ingest)
 }
 
 /// Runs one full measurement.

@@ -6,8 +6,10 @@
 //! the *time* tracing would take, while the host computes the actual
 //! colours once.
 
+use std::cell::{Ref, RefCell, RefMut};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use des::time::SimDuration;
 use raytracer::{scenes, Camera, Color, CostModel, Scene, TraceConfig, Tracer, WorkCounters};
@@ -106,37 +108,42 @@ pub struct AppStats {
     pub servant_pool_peak: u32,
 }
 
-/// Shared mutable application state.
+/// Shared mutable application state of one run's processes.
 ///
-/// Backed by a mutex so process bodies satisfy [`suprenum::Process`]'s
-/// `Send` bound. Every run executes in one thread, so the lock is
-/// uncontended; the `borrow` /
-/// `borrow_mut` names are kept because the access discipline is the
-/// same one `RefCell` enforced. Guards must not overlap — a nested
-/// borrow deadlocks where `RefCell` would have panicked.
+/// A run's machine and processes stay in one thread, so this is a plain
+/// `Rc<RefCell<T>>`: borrows must not overlap a mutable borrow, and one
+/// that does panics.
 #[derive(Debug)]
-pub struct Shared<T>(Arc<Mutex<T>>);
+pub struct Shared<T>(Rc<RefCell<T>>);
 
 impl<T> Clone for Shared<T> {
     fn clone(&self) -> Self {
-        Shared(Arc::clone(&self.0))
+        Shared(Rc::clone(&self.0))
     }
 }
 
 impl<T> Shared<T> {
     /// Wraps `value` for shared ownership.
     pub fn new(value: T) -> Self {
-        Shared(Arc::new(Mutex::new(value)))
+        Shared(Rc::new(RefCell::new(value)))
     }
 
-    /// Locks the value for reading.
-    pub fn borrow(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    /// Borrows the value for reading.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value is mutably borrowed.
+    pub fn borrow(&self) -> Ref<'_, T> {
+        self.0.borrow()
     }
 
-    /// Locks the value for writing.
-    pub fn borrow_mut(&self) -> MutexGuard<'_, T> {
-        self.borrow()
+    /// Borrows the value for writing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value is borrowed.
+    pub fn borrow_mut(&self) -> RefMut<'_, T> {
+        self.0.borrow_mut()
     }
 
     /// Extracts the value, cloning only if other owners remain.
@@ -144,10 +151,7 @@ impl<T> Shared<T> {
     where
         T: Clone,
     {
-        match Arc::try_unwrap(self.0) {
-            Ok(m) => m.into_inner().unwrap_or_else(|e| e.into_inner()),
-            Err(arc) => arc.lock().unwrap_or_else(|e| e.into_inner()).clone(),
-        }
+        Rc::unwrap_or_clone(self.0).into_inner()
     }
 }
 
@@ -196,6 +200,15 @@ impl AgentPool {
 mod tests {
     use super::*;
     use crate::config::Version;
+
+    #[test]
+    #[should_panic(expected = "already borrowed")]
+    fn overlapping_borrows_panic() {
+        let stats = Shared::new(AppStats::default());
+        let alias = stats.clone();
+        let _reading = stats.borrow();
+        alias.borrow_mut().jobs_sent += 1;
+    }
 
     #[test]
     fn trace_pixels_returns_colours_and_time() {

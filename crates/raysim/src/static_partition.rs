@@ -332,6 +332,8 @@ pub fn run_static(
         preflight: None,
         outcome,
         measurement,
+        // The samples went through `Zm4::observe`, not as emissions.
+        ingest: zm4::IngestCounts::default(),
         trace,
         output,
         machine,

@@ -8,10 +8,14 @@
 //! set, the kernel instead records one [`EmissionRecord`] per emission —
 //! the start time, pattern spacing, node, and 48-bit payload. A
 //! consumer of [`Machine::run_observed`](crate::Machine::run_observed)
-//! drains the records while the machine runs and expands them straight
-//! into the monitor, so the display writes are never stored (the
-//! measurement pipeline does this on every run). Records nobody drains
-//! expand into the signal log when the run ends.
+//! drains the records while the machine runs, so the display writes are
+//! never stored. The measurement pipeline does this on every run: it
+//! hands each record to the monitor as one event (its first write
+//! [`EmissionRecord::first_write_at`], its spacing and its
+//! [`EmissionRecord::event`]), and expands it with
+//! [`EmissionRecord::writes`] only when probe faults must act on the
+//! single patterns. Records nobody drains expand into the signal log
+//! when the run ends.
 //!
 //! [`EmissionRecord::writes`] reproduces the inline path's arithmetic
 //! exactly — same start, same spacing, same pattern sequence — so the

@@ -163,12 +163,10 @@ pub enum Action {
 /// other process runs on that node unless the action blocks — matching
 /// SUPRENUM's non-preemptive scheduling.
 ///
-/// Bodies must be `Send`, a bound that dates from a threaded engine:
-/// every run now executes in one thread, and remote spawns carry the
-/// boxed body across the cluster-partition boundary within it. `Sync`
-/// is not required and per-process interior mutability needs no
-/// locking.
-pub trait Process: Send {
+/// A machine and its processes live in the thread that runs it, so a
+/// body need not be `Send` or `Sync`: state shared between the
+/// processes of one run can be an `Rc<RefCell<_>>`.
+pub trait Process {
     /// Advances the process and returns its next action.
     fn resume(&mut self, ctx: &ProcCtx, why: Resume) -> Action;
 

@@ -80,7 +80,7 @@ pub struct KernelCtx {
 /// mutation through it. Implementations must be deterministic functions
 /// of their call sequence (plus, for [`FuzzScheduler`], a seeded RNG) —
 /// trace digests are gated on cross-worker reproducibility.
-pub trait Scheduler: Send {
+pub trait Scheduler {
     /// `lwp` became runnable and joins the ready set.
     fn on_ready(&mut self, lwp: LwpId, ctx: &KernelCtx);
 

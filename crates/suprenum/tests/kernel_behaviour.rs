@@ -17,7 +17,7 @@ struct ClosureProc<F> {
 
 impl<F> ClosureProc<F>
 where
-    F: FnMut(&ProcCtx, Resume, u32) -> Action + Send,
+    F: FnMut(&ProcCtx, Resume, u32) -> Action,
 {
     fn new(label: &str, f: F) -> Box<Self> {
         Box::new(ClosureProc {
@@ -30,7 +30,7 @@ where
 
 impl<F> Process for ClosureProc<F>
 where
-    F: FnMut(&ProcCtx, Resume, u32) -> Action + Send,
+    F: FnMut(&ProcCtx, Resume, u32) -> Action,
 {
     fn resume(&mut self, ctx: &ProcCtx, why: Resume) -> Action {
         let step = self.step;

@@ -6,9 +6,20 @@
 //! and reassembles 48-bit events. The protocol state machine itself is
 //! [`hybridmon::Decoder`] — the same logic the instrumentation side was
 //! designed against.
+//!
+//! A detector takes input at two granularities. [`EventDetector::feed`]
+//! takes one probed pattern at a time and is exact for any stream —
+//! firmware traffic, truncated or corrupted sequences included.
+//! [`EventDetector::feed_event`] takes one whole emission, the 32
+//! patterns `T m0 … T m15` of one event written `spacing` apart; on an
+//! idle decoder it hands the event straight to the recorder, as the
+//! interface's hardware detector does (paper §3.2), and otherwise it
+//! expands the patterns through `feed`. Both give the same detected
+//! events and the same [`DecodeStats`].
 
 use des::time::{SimDuration, SimTime};
 use hybridmon::decode::DecodeStats;
+use hybridmon::encode::{encode, WRITES_PER_EVENT};
 use hybridmon::{Decoder, MonEvent, Pattern};
 
 /// One probed display write: what the interface sees on its 7-bit input.
@@ -34,7 +45,9 @@ pub struct DetectedEvent {
     pub event: MonEvent,
 }
 
-/// Per-channel event detector.
+/// Per-channel event detector, fed probed patterns
+/// ([`EventDetector::feed`]) or whole emissions
+/// ([`EventDetector::feed_event`]) in non-decreasing time order.
 ///
 /// # Examples
 ///
@@ -110,6 +123,71 @@ impl EventDetector {
                 channel: self.channel,
                 event,
             })
+    }
+
+    /// Feeds one whole emission: the 32 patterns of `event`'s encoding,
+    /// the first at `first_write` and each next one `spacing` later.
+    /// Returns the detected event if the emission completed one.
+    ///
+    /// On an idle decoder the patterns decode to exactly `event`, so it
+    /// is returned at the 32nd pattern's time plus the latency, with
+    /// [`DecodeStats`] advanced as the patterns would have advanced them
+    /// and no pattern expanded. With an event partially assembled (stray
+    /// or damaged patterns fed through [`EventDetector::feed`] before),
+    /// the 32 patterns are fed one by one; from any decoder state they
+    /// complete at most one event.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if `first_write` is earlier than the
+    /// previous fed pattern — the emission must not overlap what the
+    /// channel already received.
+    #[inline]
+    pub fn feed_event(
+        &mut self,
+        first_write: SimTime,
+        spacing: SimDuration,
+        event: MonEvent,
+    ) -> Option<DetectedEvent> {
+        if self.decoder.in_progress() {
+            let mut detected = None;
+            for (i, pattern) in encode(event).into_iter().enumerate() {
+                let sample = ProbeSample {
+                    time: first_write + spacing * i as u64,
+                    channel: self.channel,
+                    pattern,
+                };
+                if let Some(d) = self.feed(sample) {
+                    debug_assert!(detected.is_none(), "one emission completed two events");
+                    detected = Some(d);
+                }
+            }
+            return detected;
+        }
+        let last_write = first_write + spacing * (WRITES_PER_EVENT as u64 - 1);
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                first_write >= self.last_time,
+                "channel {} emission at {} fed after one at {}",
+                self.channel,
+                first_write,
+                self.last_time
+            );
+            self.last_time = last_write;
+        }
+        self.decoder.account_event();
+        Some(DetectedEvent {
+            time: last_write + self.latency,
+            channel: self.channel,
+            event,
+        })
+    }
+
+    /// Returns `true` if the decoder holds a partially assembled event,
+    /// i.e. [`EventDetector::feed_event`] would expand its patterns.
+    pub(crate) fn in_progress(&self) -> bool {
+        self.decoder.in_progress()
     }
 
     /// Processes a whole time-ordered sample stream.
@@ -200,6 +278,81 @@ mod tests {
         let mut samples = stream(0, &[MonEvent::new(1, 1)], 5, 1_000);
         samples.swap(2, 3);
         EventDetector::new(0, SimDuration::ZERO).detect(&samples);
+    }
+
+    /// The 32 samples of `ev` written from `first` every `spacing`.
+    fn emission(
+        channel: usize,
+        ev: MonEvent,
+        first: SimTime,
+        spacing: SimDuration,
+    ) -> Vec<ProbeSample> {
+        encode(ev)
+            .into_iter()
+            .enumerate()
+            .map(|(i, pattern)| ProbeSample {
+                time: first + spacing * i as u64,
+                channel,
+                pattern,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn idle_feed_event_equals_its_patterns() {
+        let spacing = SimDuration::from_nanos(3_400);
+        let latency = SimDuration::from_nanos(500);
+        let mut by_event = EventDetector::new(2, latency);
+        let mut by_pattern = EventDetector::new(2, latency);
+        for (k, ev) in [MonEvent::new(1, 10), MonEvent::new(0xFFFF, u32::MAX)]
+            .into_iter()
+            .enumerate()
+        {
+            let first = SimTime::from_micros(200 * k as u64 + 7);
+            assert!(!by_event.in_progress());
+            let fast = by_event.feed_event(first, spacing, ev);
+            let slow = by_pattern.detect(&emission(2, ev, first, spacing));
+            assert_eq!(fast.as_slice(), slow.as_slice());
+            assert_eq!(fast.unwrap().time, first + spacing * 31 + latency);
+            assert_eq!(by_event.stats(), by_pattern.stats());
+        }
+    }
+
+    #[test]
+    fn mid_event_feed_event_equals_its_patterns() {
+        let spacing = SimDuration::from_nanos(1_000);
+        let ev = MonEvent::new(0x1234, 0xDEAD_BEEF);
+        let truncated = emission(0, MonEvent::new(9, 9), SimTime::ZERO, spacing);
+        // Every truncation point leaves the decoder in another state:
+        // awaiting data, or between pairs with 1..=15 groups.
+        for cut in 1..32 {
+            let mut by_event = EventDetector::new(0, SimDuration::ZERO);
+            let mut by_pattern = EventDetector::new(0, SimDuration::ZERO);
+            assert!(by_event.detect(&truncated[..cut]).is_empty());
+            by_pattern.detect(&truncated[..cut]);
+            assert!(by_event.in_progress());
+            let first = SimTime::from_micros(100);
+            let fast = by_event.feed_event(first, spacing, ev);
+            let slow = by_pattern.detect(&emission(0, ev, first, spacing));
+            assert_eq!(fast.as_slice(), slow.as_slice(), "cut {cut}");
+            assert_eq!(by_event.stats(), by_pattern.stats(), "cut {cut}");
+            assert_eq!(
+                by_event.in_progress(),
+                by_pattern.in_progress(),
+                "cut {cut}"
+            );
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "fed after")]
+    fn overlapping_emission_panics_in_debug_builds() {
+        let spacing = SimDuration::from_nanos(1_000);
+        let mut det = EventDetector::new(0, SimDuration::ZERO);
+        det.feed_event(SimTime::from_micros(10), spacing, MonEvent::new(1, 1));
+        // The first emission's last pattern is at 41 us.
+        det.feed_event(SimTime::from_micros(40), spacing, MonEvent::new(2, 2));
     }
 
     #[test]

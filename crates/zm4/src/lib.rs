@@ -60,7 +60,7 @@ pub use config::Zm4Config;
 pub use detector::{DetectedEvent, EventDetector, ProbeSample};
 pub use dpu::Dpu;
 pub use measurement::{Measurement, TraceRecord};
-pub use observer::Observer;
+pub use observer::{IngestCounts, Observer};
 pub use recorder::{DigestSink, EventRecorder, RecordSink, RecorderStats, StoredRecord};
 pub use serial::{detect_serial, SerialProbe, SerialSample};
 

@@ -1,15 +1,26 @@
 //! The streaming monitor: every channel's detector and every recorder's
-//! DPU, fed one probe sample at a time.
+//! DPU, fed one probe sample or one whole emission at a time.
 //!
 //! The real ZM4 is parallel in hardware — every DPU decodes and records
 //! its own channels and only the CEC merge is global. The simulation
 //! keeps that structure inside one [`Observer`]: detection is
 //! per-channel, recording is per-recorder (each [`Dpu::record`] sorts its
 //! queue by `(time, channel)` before the FIFO model runs, so the
-//! cross-channel interleaving of `feed` calls is immaterial), and
+//! cross-channel interleaving of feed calls is immaterial), and
 //! [`Observer::finish`] hands the local traces to the CEC merge.
+//!
+//! Input comes at two granularities. [`Observer::feed`] takes one probed
+//! pattern, exact for any stream. [`Observer::feed_emission`] takes one
+//! clean emission as plain values (channel, first write, spacing,
+//! event) and, when the channel's decoder is idle, queues the event
+//! without expanding its 32 patterns; [`Observer::feed_expanded_emission`]
+//! takes an emission's patterns after something (a fault model) may
+//! have altered them. [`Observer::ingest_counts`] tells how many
+//! emissions took each path.
 
 use des::rng::DetRng;
+use des::time::{SimDuration, SimTime};
+use hybridmon::MonEvent;
 
 use crate::cec::merge_traces;
 use crate::detector::{EventDetector, ProbeSample};
@@ -17,10 +28,25 @@ use crate::dpu::Dpu;
 use crate::measurement::Measurement;
 use crate::Zm4;
 
+/// How many emissions an [`Observer`] ingested on each path. Samples
+/// fed one by one through [`Observer::feed`] are not emissions and are
+/// not counted. Deterministic for a given input, so a run's counts can
+/// be compared exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IngestCounts {
+    /// Emissions handed to an idle decoder as one event, no pattern
+    /// expanded.
+    pub event_path: u64,
+    /// Emissions whose patterns went through the decoder one by one:
+    /// those [`Observer::feed_emission`] met on a decoder mid-event,
+    /// and every [`Observer::feed_expanded_emission`].
+    pub pattern_path: u64,
+}
+
 /// The whole monitor in streaming form: one detector per channel and one
 /// DPU per recorder. Created by [`Zm4::observer`]; fed probe samples via
-/// [`Observer::feed`]; turned into the global [`Measurement`] by
-/// [`Observer::finish`].
+/// [`Observer::feed`] or whole emissions via [`Observer::feed_emission`];
+/// turned into the global [`Measurement`] by [`Observer::finish`].
 #[derive(Debug)]
 pub struct Observer {
     streams_per_recorder: usize,
@@ -28,6 +54,7 @@ pub struct Observer {
     detectors: Vec<EventDetector>,
     /// DPUs, indexed by recorder.
     dpus: Vec<Dpu>,
+    ingest: IngestCounts,
 }
 
 impl Observer {
@@ -50,6 +77,61 @@ impl Observer {
         if let Some(event) = self.detectors[sample.channel].feed(sample) {
             self.dpus[sample.channel / self.streams_per_recorder].queue_event(event);
         }
+    }
+
+    /// Feeds one clean emission on `channel`: the 32 patterns encoding
+    /// `event`, the first written at `first_write` and each next one
+    /// `spacing` later. Bit-identical to feeding those 32 samples
+    /// through [`Observer::feed`]; see [`EventDetector::feed_event`]
+    /// for when the patterns are skipped. The emission must not start
+    /// before the channel's previous input ended.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is not wired.
+    #[inline]
+    pub fn feed_emission(
+        &mut self,
+        channel: usize,
+        first_write: SimTime,
+        spacing: SimDuration,
+        event: MonEvent,
+    ) {
+        assert!(
+            channel < self.detectors.len(),
+            "emission for unwired channel {channel}"
+        );
+        let detector = &mut self.detectors[channel];
+        if detector.in_progress() {
+            self.ingest.pattern_path += 1;
+        } else {
+            self.ingest.event_path += 1;
+        }
+        if let Some(event) = detector.feed_event(first_write, spacing, event) {
+            self.dpus[channel / self.streams_per_recorder].queue_event(event);
+        }
+    }
+
+    /// Feeds one emission's probe samples through [`Observer::feed`],
+    /// counting it on the pattern path — for emissions whose patterns
+    /// may have been dropped, corrupted or shifted in time on the way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sample references an unwired channel.
+    pub fn feed_expanded_emission<I>(&mut self, samples: I)
+    where
+        I: IntoIterator<Item = ProbeSample>,
+    {
+        self.ingest.pattern_path += 1;
+        for sample in samples {
+            self.feed(sample);
+        }
+    }
+
+    /// How many emissions took each ingest path so far.
+    pub fn ingest_counts(&self) -> IngestCounts {
+        self.ingest
     }
 
     /// Ends the measurement: per recorder, the DPU runs its FIFO/drain
@@ -85,6 +167,7 @@ impl Zm4 {
             dpus: (0..self.recorders())
                 .map(|r| Dpu::new(r, self.config(), &rng))
                 .collect(),
+            ingest: IngestCounts::default(),
         }
     }
 }

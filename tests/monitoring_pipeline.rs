@@ -346,3 +346,55 @@ fn analysis_survives_fifo_event_loss() {
         "lost causes surface as unmatched effects"
     );
 }
+
+/// The streamed monitor plane ingests every emission of a fault-free
+/// run as one detected event and never expands its patterns; with the
+/// probe fault layer active, every emission goes pattern by pattern
+/// through the faults instead. The counts are deterministic.
+#[test]
+fn fault_free_runs_ingest_every_emission_as_one_event() {
+    use suprenum_monitor::pipeline::jacobi::JacobiConfig;
+    use suprenum_monitor::pipeline::{run_workload, FaultConfig, PipelineConfig};
+    use suprenum_monitor::raysim::config::{AppConfig, Version};
+
+    let detected = |m: &suprenum_monitor::zm4::Measurement| -> u64 {
+        m.detector_stats.iter().map(|s| s.events).sum()
+    };
+
+    let mut v1 = AppConfig::version(Version::V1);
+    v1.width = 32;
+    v1.height = 32;
+    v1.pixel_queue_capacity = 256;
+    v1.write_chunk = 4;
+    let ray = run_workload(PipelineConfig::new(v1));
+    assert!(ray.completed());
+    assert_eq!(ray.ingest.pattern_path, 0, "V1: {:?}", ray.ingest);
+    assert_eq!(ray.ingest.event_path, detected(&ray.measurement));
+    assert!(ray.ingest.event_path > 0);
+
+    // The config of the pipeline's `fault_injection_perturbs_only_the_measurement`.
+    let mut cfg = PipelineConfig::new(JacobiConfig {
+        workers: 5,
+        iterations: 6,
+        ..JacobiConfig::default()
+    });
+    let clean = run_workload(cfg.clone());
+    assert_eq!(clean.ingest.pattern_path, 0, "jacobi: {:?}", clean.ingest);
+    assert_eq!(clean.ingest.event_path, detected(&clean.measurement));
+    assert!(clean.ingest.event_path > 0);
+
+    cfg.faults = FaultConfig {
+        probe_drop_permille: 100,
+        probe_corrupt_permille: 50,
+        clock_drift_ppm: 2_000,
+        seed: 7,
+    };
+    let faulted = run_workload(cfg);
+    assert_eq!(
+        faulted.ingest.event_path, 0,
+        "faulted: {:?}",
+        faulted.ingest
+    );
+    // The machine is untouched by the faults, so it emits the same.
+    assert_eq!(faulted.ingest.pattern_path, clean.ingest.event_path);
+}
